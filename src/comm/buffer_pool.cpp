@@ -1,8 +1,30 @@
 #include "comm/buffer_pool.hpp"
 
+#include <utility>
+
 #include "obs/metrics.hpp"
 
 namespace dshuf::comm {
+
+BufferPool::~BufferPool() { drop_all(); }
+
+BufferPool::BufferPool(BufferPool&& other) noexcept
+    : free_(std::exchange(other.free_, {})) {}
+
+BufferPool& BufferPool::operator=(BufferPool&& other) noexcept {
+  if (this != &other) {
+    drop_all();
+    free_ = std::exchange(other.free_, {});
+  }
+  return *this;
+}
+
+void BufferPool::drop_all() {
+  if (free_.empty()) return;
+  DSHUF_GAUGE("comm.pool.buffers").sub(static_cast<std::int64_t>(free_.size()));
+  DSHUF_GAUGE("comm.pool.bytes").sub(static_cast<std::int64_t>(free_bytes()));
+  free_.clear();
+}
 
 std::vector<std::byte> BufferPool::acquire(std::size_t reserve_hint) {
   DSHUF_COUNTER("comm.pool.acquires").add();

@@ -24,6 +24,16 @@ namespace dshuf::comm {
 
 class BufferPool {
  public:
+  BufferPool() = default;
+  /// Frees the retained buffers and takes them out of the comm.pool.*
+  /// gauges, which count live pools only.
+  ~BufferPool();
+  /// Moves hand the buffers over together with their gauge accounting.
+  BufferPool(BufferPool&& other) noexcept;
+  BufferPool& operator=(BufferPool&& other) noexcept;
+  BufferPool(const BufferPool&) = delete;
+  BufferPool& operator=(const BufferPool&) = delete;
+
   /// Pop a recycled buffer (or construct one on a miss), cleared to size 0
   /// with capacity >= `reserve_hint`.
   [[nodiscard]] std::vector<std::byte> acquire(std::size_t reserve_hint = 0);
@@ -44,6 +54,8 @@ class BufferPool {
   // per rank; anything past this is a leak or a workload change, and
   // hoarding it would just pin memory.
   static constexpr std::size_t kMaxFree = 256;
+
+  void drop_all();
 
   std::vector<std::vector<std::byte>> free_;
 };

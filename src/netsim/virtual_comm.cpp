@@ -21,6 +21,7 @@
 #endif
 
 #ifdef DSHUF_ASAN_FIBERS
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
@@ -57,7 +58,8 @@ struct VirtualRequestState;
 
 /// One virtual rank: a ucontext fiber plus the thread-local state (log
 /// context, trace track) that must travel with the logical rank rather
-/// than the OS thread all fibers share.
+/// than the OS thread all fibers share. The stack lives as long as the
+/// world; every run() re-enters it from the top.
 struct Fiber {
   ucontext_t ctx{};
   std::unique_ptr<char[]> stack;
@@ -146,6 +148,17 @@ class VirtualWorldState {
     pools_.resize(m);
     attempts_.resize(m);
     slots_.init(num_ranks);
+
+    // One stack per rank for the world's lifetime, left uninitialised: a
+    // fiber touches only the pages it grows into, so zero-filling 256 KiB
+    // per rank would just make every page resident.
+    fibers_.resize(m);
+    for (int r = 0; r < num_ranks; ++r) {
+      Fiber& f = fibers_[static_cast<std::size_t>(r)];
+      f.rank = r;
+      f.stack_size = opts_.fiber_stack_bytes;
+      f.stack = std::make_unique_for_overwrite<char[]>(f.stack_size);
+    }
   }
 
   [[nodiscard]] int size() const { return size_; }
@@ -225,6 +238,7 @@ class VirtualWorldState {
 
   void resume(int fi);
   void yield_to_scheduler();
+  void run_runnable();
   void abort_world();
 
   void schedule_inject(int src, int dest, comm::Message msg,
@@ -363,7 +377,10 @@ class VirtualCommunicator final : public comm::Communicator {
   comm::Message recv(int source, int tag) override {
     comm::Request r = irecv(source, tag);
     r.wait();
-    return r.message();
+    // Move the message out instead of copying it through message(): the
+    // receiver gets the sender's buffer itself, so a pooled frame buffer
+    // keeps its capacity as it migrates between rank pools.
+    return std::move(static_cast<VirtualRequestState&>(*state_of(r)).msg);
   }
 
   std::optional<comm::Message> poll(int source, int tag) override {
@@ -474,6 +491,17 @@ void VirtualWorldState::fiber_entry() {
   DSHUF_CHECK(false, "resumed a finished fiber");
 }
 
+void VirtualWorldState::run_runnable() {
+  while (!run_queue_.empty()) {
+    const int fi = run_queue_.front();
+    run_queue_.pop_front();
+    Fiber& f = fibers_[static_cast<std::size_t>(fi)];
+    f.runnable = false;
+    if (f.done) continue;
+    resume(fi);
+  }
+}
+
 void VirtualWorldState::abort_world() {
   aborted_ = true;
   // Wake every blocked fiber (rank order); their blocking primitives
@@ -484,6 +512,9 @@ void VirtualWorldState::abort_world() {
 }
 
 void VirtualWorldState::block(const char* reason) {
+  // Never park once the world is aborting: nothing would wake the fiber,
+  // and its stack would be re-entered by the next run with frames alive.
+  DSHUF_CHECK(!aborted_, "world aborted before " << reason);
   Fiber& f = fibers_[static_cast<std::size_t>(current_)];
   f.blocked_reason = reason;
   yield_to_scheduler();
@@ -844,14 +875,19 @@ void VirtualWorldState::run(
   sched_log_ctx_ = log_context_state();
   sched_track_ = obs::Tracer::thread_track();
 
-  fibers_.clear();
-  fibers_.resize(static_cast<std::size_t>(size_));
   run_queue_.clear();
   for (int r = 0; r < size_; ++r) {
     Fiber& f = fibers_[static_cast<std::size_t>(r)];
-    f.rank = r;
-    f.stack_size = opts_.fiber_stack_bytes;
-    f.stack = std::make_unique<char[]>(f.stack_size);
+    f.done = false;
+    f.blocked_reason = nullptr;
+    f.error = nullptr;
+    f.log_ctx = LogContextState{};
+#ifdef DSHUF_ASAN_FIBERS
+    // The last run's frames never returned (a fiber ends by switching
+    // away), so their redzones are still poisoned.
+    f.fake_stack = nullptr;
+    ASAN_UNPOISON_MEMORY_REGION(f.stack.get(), f.stack_size);
+#endif
     DSHUF_CHECK(getcontext(&f.ctx) == 0, "getcontext failed");
     f.ctx.uc_stack.ss_sp = f.stack.get();
     f.ctx.uc_stack.ss_size = f.stack_size;
@@ -868,14 +904,7 @@ void VirtualWorldState::run(
   std::exception_ptr loop_error;
   try {
     for (;;) {
-      while (!run_queue_.empty()) {
-        const int fi = run_queue_.front();
-        run_queue_.pop_front();
-        Fiber& f = fibers_[static_cast<std::size_t>(fi)];
-        f.runnable = false;
-        if (f.done) continue;
-        resume(fi);
-      }
+      run_runnable();
       bool all_done = true;
       for (const Fiber& f : fibers_) {
         if (!f.done) {
@@ -911,6 +940,14 @@ void VirtualWorldState::run(
   } catch (...) {
     loop_error = std::current_exception();
   }
+  if (loop_error) {
+    // The loop itself failed (deadlock, engine error) with fibers still
+    // suspended. Resume each one so it throws out of its blocking
+    // primitive and the objects on its stack are destroyed before the
+    // stack is reused.
+    abort_world();
+    run_runnable();
+  }
 
   g_running_world = prev_world;
   obs::set_obs_clock(prev_clock);
@@ -922,18 +959,10 @@ void VirtualWorldState::run(
       now_us_ - run_start_us_, switches_ - switches_before, flows_admitted_,
       engine_->refill_work()};
 
-  if (loop_error) {
-    fibers_.clear();
-    std::rethrow_exception(loop_error);
-  }
+  if (loop_error) std::rethrow_exception(loop_error);
   for (Fiber& f : fibers_) {
-    if (f.error) {
-      std::exception_ptr e = f.error;
-      fibers_.clear();
-      std::rethrow_exception(e);
-    }
+    if (f.error) std::rethrow_exception(std::exchange(f.error, nullptr));
   }
-  fibers_.clear();
   check_drained();
 }
 

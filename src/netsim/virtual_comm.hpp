@@ -61,8 +61,10 @@ struct VirtualWorldOptions {
   /// fabric pool and latency still apply).
   LinkCaps caps{};
   std::optional<shuffle::Topology> topology;
-  /// Stack bytes per fiber (heap-allocated). The exchange needs a few KiB;
-  /// the default leaves generous headroom for logging and spans.
+  /// Stack bytes per fiber, heap-allocated once per world and left
+  /// unzeroed, so only the pages a fiber grows into become resident. The
+  /// exchange needs a few KiB; the default leaves generous headroom for
+  /// logging and spans.
   std::size_t fiber_stack_bytes = 256 * 1024;
   /// Completion-event granularity, virtual microseconds. 1 (the default)
   /// delivers each flow at its exact (us-rounded) finish with per-batch

@@ -1,6 +1,5 @@
 #include "shuffle/exchange_plan.hpp"
 
-#include <atomic>
 #include <cmath>
 #include <mutex>
 
@@ -24,10 +23,11 @@ void ExchangePlan::rebuild(std::uint64_t seed, std::size_t epoch, int workers,
   // communication.
   Rng rng = base.fork(0xE9C4ULL, epoch);
 
-  rounds_.resize(per_worker_quota);
   const auto m = static_cast<std::size_t>(workers);
+  rounds_ = per_worker_quota;
+  dest_.resize(m * rounds_);
+  src_.resize(m * rounds_);
   for (std::size_t i = 0; i < per_worker_quota; ++i) {
-    Round& round = rounds_[i];
     rng.permutation_into(m, perm_);
     if (!allow_self && workers > 1) {
       // Re-draw until the permutation is a derangement. Expected ~e tries.
@@ -39,12 +39,7 @@ void ExchangePlan::rebuild(std::uint64_t seed, std::size_t epoch, int workers,
       };
       while (has_fixed_point(perm_)) rng.permutation_into(m, perm_);
     }
-    round.dest.resize(m);
-    round.src.resize(m);
-    for (std::size_t r = 0; r < m; ++r) {
-      round.dest[r] = static_cast<int>(perm_[r]);
-      round.src[perm_[r]] = static_cast<int>(r);
-    }
+    for (std::size_t r = 0; r < m; ++r) link(i, r, perm_[r]);
   }
 }
 
@@ -68,7 +63,9 @@ void ExchangePlan::rebuild_grouped(std::uint64_t seed, std::size_t epoch,
   const auto intra_rounds = static_cast<std::size_t>(
       std::round(intra_fraction * static_cast<double>(per_worker_quota)));
 
-  rounds_.resize(per_worker_quota);
+  rounds_ = per_worker_quota;
+  dest_.resize(m * rounds_);
+  src_.resize(m * rounds_);
   for (std::size_t i = 0; i < per_worker_quota; ++i) {
     const bool inter = i >= intra_rounds && groups > 1;
     if (inter) {
@@ -79,57 +76,47 @@ void ExchangePlan::rebuild_grouped(std::uint64_t seed, std::size_t epoch,
         gperm_[g] = static_cast<std::uint32_t>(g);
       }
     }
-    Round& round = rounds_[i];
-    round.dest.resize(m);
-    round.src.resize(m);
-    for (int g = 0; g < groups; ++g) {
-      stream.permutation_into(static_cast<std::size_t>(group_size), perm_);
-      for (int s = 0; s < group_size; ++s) {
-        const int from = g * group_size + s;
-        const int to =
-            static_cast<int>(gperm_[static_cast<std::size_t>(g)]) *
-                group_size +
-            static_cast<int>(perm_[static_cast<std::size_t>(s)]);
-        round.dest[static_cast<std::size_t>(from)] = to;
-        round.src[static_cast<std::size_t>(to)] = from;
+    const auto gs = static_cast<std::size_t>(group_size);
+    for (std::size_t g = 0; g < gperm_.size(); ++g) {
+      stream.permutation_into(gs, perm_);
+      for (std::size_t s = 0; s < gs; ++s) {
+        link(i, g * gs + s, gperm_[g] * gs + perm_[s]);
       }
     }
   }
 }
 
 int ExchangePlan::dest(std::size_t round, int rank) const {
-  DSHUF_CHECK_LT(round, rounds_.size(), "round out of range");
+  DSHUF_CHECK_LT(round, rounds_, "round out of range");
   DSHUF_CHECK(rank >= 0 && rank < workers_, "rank out of range");
-  return rounds_[round].dest[static_cast<std::size_t>(rank)];
+  return dest_[static_cast<std::size_t>(rank) * rounds_ + round];
 }
 
 int ExchangePlan::source(std::size_t round, int rank) const {
-  DSHUF_CHECK_LT(round, rounds_.size(), "round out of range");
+  DSHUF_CHECK_LT(round, rounds_, "round out of range");
   DSHUF_CHECK(rank >= 0 && rank < workers_, "rank out of range");
-  return rounds_[round].src[static_cast<std::size_t>(rank)];
+  return src_[static_cast<std::size_t>(rank) * rounds_ + round];
 }
 
 std::vector<int> ExchangePlan::dests_for(int rank) const {
   std::vector<int> out;
-  out.reserve(rounds_.size());
-  for (std::size_t i = 0; i < rounds_.size(); ++i) out.push_back(dest(i, rank));
+  out.reserve(rounds_);
+  for (std::size_t i = 0; i < rounds_; ++i) out.push_back(dest(i, rank));
   return out;
 }
 
 std::vector<int> ExchangePlan::sources_for(int rank) const {
   std::vector<int> out;
-  out.reserve(rounds_.size());
-  for (std::size_t i = 0; i < rounds_.size(); ++i) {
-    out.push_back(source(i, rank));
-  }
+  out.reserve(rounds_);
+  for (std::size_t i = 0; i < rounds_; ++i) out.push_back(source(i, rank));
   return out;
 }
 
 std::size_t ExchangePlan::self_sends() const {
   std::size_t n = 0;
-  for (const auto& round : rounds_) {
-    for (std::size_t r = 0; r < round.dest.size(); ++r) {
-      if (round.dest[r] == static_cast<int>(r)) ++n;
+  for (std::size_t r = 0; r < static_cast<std::size_t>(workers_); ++r) {
+    for (std::size_t i = 0; i < rounds_; ++i) {
+      if (dest_[r * rounds_ + i] == static_cast<int>(r)) ++n;
     }
   }
   return n;
@@ -137,63 +124,87 @@ std::size_t ExchangePlan::self_sends() const {
 
 namespace {
 
-std::atomic<bool> g_plan_interning{false};
-
 // Tiny lookaside: ranks straddle at most a few epoch boundaries, so a
 // handful of slots catches every hit. Evicted entries stay alive through
-// the shared_ptrs held in rank scratches.
+// the SharedPlans that still refer to them.
 constexpr std::size_t kPlanCacheSlots = 4;
 
 struct PlanCacheEntry {
   PlanSpec spec;
-  std::shared_ptr<const ExchangePlan> plan;
+  std::shared_ptr<ExchangePlan> plan;
   std::uint64_t stamp = 0;
 };
 
 RankedMutex g_plan_cache_mu{LockRank::kPlanCache, "shuffle.plan_cache"};
 std::vector<PlanCacheEntry> g_plan_cache;  // guarded by g_plan_cache_mu
+std::uint64_t g_plan_stamp = 0;            // guarded by g_plan_cache_mu
+std::uint64_t g_plan_builds = 0;           // guarded by g_plan_cache_mu
+
+void build_plan(const PlanSpec& spec, ExchangePlan& plan) {
+  if (spec.groups > 1 && spec.group_size > 0) {
+    plan.rebuild_grouped(spec.seed, spec.epoch, spec.groups, spec.group_size,
+                         spec.quota, spec.intra_fraction);
+  } else {
+    plan.rebuild(spec.seed, spec.epoch, spec.workers, spec.quota);
+  }
+}
 
 }  // namespace
 
-bool plan_interning_enabled() {
-  return g_plan_interning.load(std::memory_order_acquire);
+SharedPlan& SharedPlan::operator=(SharedPlan&& other) noexcept {
+  if (this != &other) {
+    reset();
+    plan_ = std::move(other.plan_);
+  }
+  return *this;
 }
 
-void set_plan_interning(bool on) {
-  g_plan_interning.store(on, std::memory_order_release);
-}
-
-std::shared_ptr<const ExchangePlan> intern_exchange_plan(
-    const PlanSpec& spec) {
-  // Build under the lock: every rank asking for the same epoch either
-  // builds it (first arrival) or waits for that one build — never builds
-  // its own copy. The build is O(quota * M), once per epoch per process.
+void SharedPlan::reset() {
+  if (!plan_) return;
   std::lock_guard<RankedMutex> lk(g_plan_cache_mu);
+  plan_.reset();
+}
+
+void acquire_exchange_plan(const PlanSpec& spec, SharedPlan& held) {
+  // Build under the lock: every rank asking for the same epoch either
+  // builds it (first arrival) or waits for that one build.
+  std::lock_guard<RankedMutex> lk(g_plan_cache_mu);
+  // Drop the caller's previous plan inside the lock. SharedPlan only
+  // ever changes a plan's reference count under this lock (a move
+  // leaves it alone), so use_count() below is exact, and the lock
+  // orders every former holder's reads before an in-place rebuild.
+  held.plan_.reset();
+  ++g_plan_stamp;
   auto& cache = g_plan_cache;
-  static std::uint64_t stamp = 0;
-  ++stamp;
   for (auto& e : cache) {
     if (e.spec == spec) {
-      e.stamp = stamp;
-      return e.plan;
+      e.stamp = g_plan_stamp;
+      held.plan_ = e.plan;
+      return;
     }
   }
-  auto plan = std::make_shared<ExchangePlan>();
-  if (spec.groups > 1 && spec.group_size > 0) {
-    plan->rebuild_grouped(spec.seed, spec.epoch, spec.groups,
-                          spec.group_size, spec.quota, spec.intra_fraction);
+  PlanCacheEntry* slot = nullptr;
+  if (cache.size() < kPlanCacheSlots) {
+    slot = &cache.emplace_back();
   } else {
-    plan->rebuild(spec.seed, spec.epoch, spec.workers, spec.quota);
-  }
-  if (cache.size() >= kPlanCacheSlots) {
-    std::size_t oldest = 0;
-    for (std::size_t i = 1; i < cache.size(); ++i) {
-      if (cache[i].stamp < cache[oldest].stamp) oldest = i;
+    slot = &cache.front();
+    for (auto& e : cache) {
+      if (e.stamp < slot->stamp) slot = &e;
     }
-    cache.erase(cache.begin() + static_cast<std::ptrdiff_t>(oldest));
   }
-  cache.push_back(PlanCacheEntry{spec, plan, stamp});
-  return plan;
+  if (!slot->plan || slot->plan.use_count() > 1) {
+    slot->plan = std::make_shared<ExchangePlan>();
+  }
+  build_plan(spec, *slot->plan);
+  slot->spec = spec;
+  slot->stamp = g_plan_stamp;
+  held.plan_ = slot->plan;
+  ++g_plan_builds;
+}
+
+std::uint64_t exchange_plan_builds() {
+  std::lock_guard<RankedMutex> lk(g_plan_cache_mu);
+  return g_plan_builds;
 }
 
 std::size_t exchange_quota(std::size_t shard_size, double q) {

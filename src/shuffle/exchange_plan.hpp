@@ -26,9 +26,9 @@ namespace dshuf::shuffle {
 
 class ExchangePlan {
  public:
-  /// Empty plan; fill it with rebuild(). Exists so steady-state callers
-  /// can keep one plan in scratch storage and rebuild it in place each
-  /// epoch without reallocating the round tables.
+  /// Empty plan; fill it with rebuild(). Exists so the plan cache can
+  /// recycle an entry and rebuild it in place without reallocating the
+  /// round tables.
   ExchangePlan() = default;
 
   /// Build the plan for one epoch. `per_worker_quota` is k, the number of
@@ -59,7 +59,7 @@ class ExchangePlan {
                        double intra_fraction);
 
   [[nodiscard]] int workers() const { return workers_; }
-  [[nodiscard]] std::size_t rounds() const { return rounds_.size(); }
+  [[nodiscard]] std::size_t rounds() const { return rounds_; }
 
   /// Destination of worker `rank`'s round-i sample.
   [[nodiscard]] int dest(std::size_t round, int rank) const;
@@ -75,13 +75,19 @@ class ExchangePlan {
   [[nodiscard]] std::size_t self_sends() const;
 
  private:
-  struct Round {
-    std::vector<int> dest;  // dest[rank]
-    std::vector<int> src;   // inverse permutation
-  };
+  /// Record that in round `round` rank `from` sends to rank `to`.
+  void link(std::size_t round, std::size_t from, std::size_t to) {
+    dest_[from * rounds_ + round] = static_cast<int>(to);
+    src_[to * rounds_ + round] = static_cast<int>(from);
+  }
 
   int workers_ = 0;
-  std::vector<Round> rounds_;
+  std::size_t rounds_ = 0;
+  // Rank-major tables, [rank * rounds_ + round]: a rank's sends and its
+  // receives are each one contiguous row — all the exchange reads — so
+  // ranks sharing one plan read few cache lines, and mostly disjoint ones.
+  std::vector<int> dest_;
+  std::vector<int> src_;  // inverse permutation per round
   std::vector<std::uint32_t> perm_;   // rebuild scratch (capacity reused)
   std::vector<std::uint32_t> gperm_;  // grouped-rebuild scratch
 };
@@ -100,39 +106,46 @@ struct PlanSpec {
   friend bool operator==(const PlanSpec&, const PlanSpec&) = default;
 };
 
-/// One plan per epoch per PROCESS instead of per rank. A thousand virtual
-/// ranks each rebuilding a quota x M table would cost O(M^2 * quota)
-/// memory — the single reason 4096-rank worlds would not fit — so the
-/// virtual backend turns interning on and every rank's scratch holds a
-/// shared_ptr to the identical immutable plan. The cache keeps the last
-/// few epochs (ranks at an epoch boundary may straddle two); entries drop
-/// out of the cache eagerly but stay alive for as long as any scratch
-/// still references them.
-///
-/// Interning stays OFF by default: the threaded path's in-place rebuild is
-/// what keeps the steady-state epoch allocation-free
-/// (tests/test_exchange_alloc.cpp), and interning allocates one plan per
-/// epoch. Same flip discipline as the other process-wide exchange
-/// policies: set it from the driving thread before World::run.
-[[nodiscard]] bool plan_interning_enabled();
-void set_plan_interning(bool on);
-
-class ScopedPlanInterning {
+/// A reference to one epoch's plan in the process-wide plan cache (see
+/// acquire_exchange_plan). The plan stays immutable while any SharedPlan
+/// refers to it. Move-only: a move hands the reference over, and dropping
+/// one (reset, move-assignment, destruction) takes the cache lock, so the
+/// holder's reads of the plan happen-before any in-place rebuild of it.
+class SharedPlan {
  public:
-  explicit ScopedPlanInterning(bool on) : prev_(plan_interning_enabled()) {
-    set_plan_interning(on);
-  }
-  ~ScopedPlanInterning() { set_plan_interning(prev_); }
-  ScopedPlanInterning(const ScopedPlanInterning&) = delete;
-  ScopedPlanInterning& operator=(const ScopedPlanInterning&) = delete;
+  SharedPlan() = default;
+  SharedPlan(SharedPlan&& other) noexcept = default;
+  SharedPlan& operator=(SharedPlan&& other) noexcept;
+  SharedPlan(const SharedPlan&) = delete;
+  SharedPlan& operator=(const SharedPlan&) = delete;
+  ~SharedPlan() { reset(); }
+
+  void reset();
+
+  [[nodiscard]] const ExchangePlan* get() const { return plan_.get(); }
+  [[nodiscard]] const ExchangePlan& operator*() const { return *plan_; }
 
  private:
-  bool prev_;
+  friend void acquire_exchange_plan(const PlanSpec& spec, SharedPlan& held);
+  std::shared_ptr<ExchangePlan> plan_;
 };
 
-/// Fetch (building on miss) the shared immutable plan for `spec`.
-[[nodiscard]] std::shared_ptr<const ExchangePlan> intern_exchange_plan(
-    const PlanSpec& spec);
+/// Point `held` at the plan for `spec`, building it on a miss: one plan per
+/// epoch per PROCESS, not per rank. A thousand virtual ranks each building
+/// a quota x M table would cost O(M^2 * quota) time and memory, and every
+/// threaded rank would redo the same draws.
+///
+/// The cache keeps the last few specs (ranks at an epoch boundary may
+/// straddle two). A miss recycles the least recently used entry: rebuilt
+/// in place when no SharedPlan still refers to it — which keeps a warmed-up
+/// epoch allocation-free (tests/test_exchange_alloc.cpp) — and otherwise
+/// replaced by a fresh plan, the old one living on with its holders.
+void acquire_exchange_plan(const PlanSpec& spec, SharedPlan& held);
+
+/// Plans the cache has built since the process started. Kept out of the
+/// metrics registry: it depends on what earlier runs left in the cache,
+/// and a run's registry snapshot must not.
+[[nodiscard]] std::uint64_t exchange_plan_builds();
 
 /// Quota k = ceil(Q * shard_size), clamped to the shard size. Q outside
 /// [0, 1] is rejected.

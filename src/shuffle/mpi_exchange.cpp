@@ -34,13 +34,10 @@ SampleId decode_sample_id(const std::vector<std::byte>& buf) {
   return id;
 }
 
-// Resolve this epoch's plan into s.active. The shape comes from the
-// process-wide topology policy (flat Algorithm-1 permutations when none is
-// set, the grouped hierarchical plan otherwise) and the storage from the
-// interning switch: rebuilt in place in this rank's scratch (the
-// allocation-free steady state) or fetched from the process-wide shared
-// cache (thousand-rank virtual worlds, where per-rank copies of a
-// quota x M table would be O(M^2) memory).
+// Point s.plan at this epoch's plan in the process-wide cache, which
+// builds it once for all ranks. The shape comes from the process-wide
+// topology policy: flat Algorithm-1 permutations when none is set, the
+// grouped hierarchical plan otherwise.
 const ExchangePlan& plan_for_epoch(std::uint64_t seed, std::size_t epoch,
                                    int m, std::size_t quota,
                                    ExchangeScratch& s) {
@@ -57,21 +54,8 @@ const ExchangePlan& plan_for_epoch(std::uint64_t seed, std::size_t epoch,
       spec.intra_fraction = t.intra_fraction;
     }
   }
-  if (plan_interning_enabled()) {
-    s.interned = intern_exchange_plan(spec);
-    s.active = s.interned.get();
-  } else {
-    if (spec.groups > 1) {
-      s.plan.rebuild_grouped(spec.seed, spec.epoch, spec.groups,
-                             spec.group_size, spec.quota,
-                             spec.intra_fraction);
-    } else {
-      s.plan.rebuild(seed, epoch, m, quota);
-    }
-    s.interned.reset();
-    s.active = &s.plan;
-  }
-  return *s.active;
+  acquire_exchange_plan(spec, s.plan);
+  return *s.plan;
 }
 
 // Fill one CSR side (peers / off / rounds) from (peer, round) pairs.
@@ -239,7 +223,7 @@ ExchangeOutcome run_fast_per_sample(comm::Communicator& comm,
   const int m = comm.size();
   const std::size_t quota = s.outgoing.size();
   const std::uint64_t tag_base = epoch_tag_base(epoch, quota, m);
-  const ExchangePlan& plan = *s.active;
+  const ExchangePlan& plan = *s.plan;
 
   ExchangeOutcome out;
   out.rounds = quota;
@@ -259,12 +243,12 @@ ExchangeOutcome run_fast_per_sample(comm::Communicator& comm,
     out.bytes_sent += wire.size();
     out.bytes_offered += wire.size();
     ++out.msgs_sent;
-    comm.send(dest, data_tag(tag_base, i), std::move(wire));
     if (tracer.enabled()) {
       tracer.flow_point("exchange.sample", sample_flow_id(tag_base, i, rank),
                         obs::FlowPhase::kSend,
                         {{"epoch", std::to_string(epoch)}});
     }
+    comm.send(dest, data_tag(tag_base, i), std::move(wire));
   }
 
   // Line 7: collect each round's sample (blocking; sends above already
@@ -329,7 +313,7 @@ ExchangeOutcome run_robust_per_sample(comm::Communicator& comm,
   const std::size_t quota = s.outgoing.size();
   DSHUF_CHECK_GT(robust.max_attempts, 0, "need at least one send attempt");
   const std::uint64_t tag_base = epoch_tag_base(epoch, quota, comm.size());
-  const ExchangePlan& plan = *s.active;
+  const ExchangePlan& plan = *s.plan;
 
   ExchangeOutcome out;
   out.rounds = quota;
@@ -361,12 +345,12 @@ ExchangeOutcome run_robust_per_sample(comm::Communicator& comm,
     r.rx_data = comm.irecv(r.src, data_tag(tag_base, i));
     r.rx_ack = comm.irecv(r.dest, ack_tag(tag_base, i));
     encode_sample_into(s.outgoing[i], payload, r.wire);
-    comm.send(r.dest, data_tag(tag_base, i), r.wire);
     if (tracer.enabled()) {
       tracer.flow_point("exchange.sample", sample_flow_id(tag_base, i, rank),
                         obs::FlowPhase::kSend,
                         {{"epoch", std::to_string(epoch)}});
     }
+    comm.send(r.dest, data_tag(tag_base, i), r.wire);
     ++out.msgs_sent;
     out.bytes_header += sizeof(SampleId);
     out.bytes_body += r.wire.size() - sizeof(SampleId);
@@ -439,13 +423,13 @@ ExchangeOutcome run_robust_per_sample(comm::Communicator& comm,
                       << " attempts to rank " << r.dest
                       << "; reconciliation decides";
           } else {
-            comm.send(r.dest, data_tag(tag_base, i), r.wire);
             if (tracer.enabled()) {
               tracer.flow_point("exchange.sample",
                                 sample_flow_id(tag_base, i, rank),
                                 obs::FlowPhase::kStep,
                                 {{"epoch", std::to_string(epoch)}});
             }
+            comm.send(r.dest, data_tag(tag_base, i), r.wire);
             ++out.msgs_sent;
             out.bytes_sent += r.wire.size();
             ++r.attempts;
@@ -587,10 +571,10 @@ PlsEpochExchange::PlsEpochExchange(comm::Communicator& comm,
   epoch_span_->attr("epoch", std::to_string(epoch))
       .attr("rank", std::to_string(rank_));
 
-  // Every rank recomputes (or fetches — see plan_for_epoch) the identical
-  // plan from the shared seed — Algorithm 1's "all workers use the same
-  // random seed". The scratch (a caller-provided one in the steady state)
-  // reuses last epoch's tables.
+  // Every rank uses the identical plan derived from the shared seed —
+  // Algorithm 1's "all workers use the same random seed" — built once per
+  // process (see plan_for_epoch). The scratch (a caller-provided one in
+  // the steady state) reuses last epoch's routing tables.
   ExchangeScratch& s = *s_;
   const ExchangePlan& plan = plan_for_epoch(seed, epoch, m_, quota_, s);
   pick_permutation_into(seed, epoch, rank_, store.size(), s.picks);
@@ -649,14 +633,18 @@ void PlsEpochExchange::post() {
       out_.bytes_sent += buf.size();
       out_.bytes_offered += buf.size();
       ++out_.msgs_sent;
-      comm_.send(p, frame_data_tag(tag_base_, quota_, rank_),
-                 std::move(buf));
+      // Every send site stamps its flow point BEFORE sending: once the
+      // frame is deposited, the receiver may stamp the finish before
+      // send() returns, and a finish ahead of its send fails
+      // `dshuf_trace --check`.
       if (tracer.enabled()) {
         tracer.flow_point("exchange.frame",
                           frame_flow_id(epoch_, rank_, p),
                           obs::FlowPhase::kSend,
                           {{"epoch", std::to_string(epoch_)}});
       }
+      comm_.send(p, frame_data_tag(tag_base_, quota_, rank_),
+                 std::move(buf));
     }
     return;
   }
@@ -675,12 +663,12 @@ void PlsEpochExchange::post() {
     out_.bytes_offered += wire.size();
     auto buf = comm_.pool().acquire(wire.size());
     buf.assign(wire.begin(), wire.end());
-    comm_.send(p, frame_data_tag(tag_base_, quota_, rank_), std::move(buf));
     if (tracer.enabled()) {
       tracer.flow_point("exchange.frame", frame_flow_id(epoch_, rank_, p),
                         obs::FlowPhase::kSend,
                         {{"epoch", std::to_string(epoch_)}});
     }
+    comm_.send(p, frame_data_tag(tag_base_, quota_, rank_), std::move(buf));
     ++out_.msgs_sent;
     out_.bytes_sent += wire.size();
     send_state_[k].attempts = 1;
@@ -782,8 +770,6 @@ void PlsEpochExchange::finish_robust() {
           const auto& wire = wires_[k];
           auto buf = comm_.pool().acquire(wire.size());
           buf.assign(wire.begin(), wire.end());
-          comm_.send(p, frame_data_tag(tag_base_, quota_, rank_),
-                     std::move(buf));
           // The retransmitted bytes carry the identical trace context,
           // so this is a step on the SAME flow, not a new arrow.
           auto& tracer = obs::Tracer::instance();
@@ -793,6 +779,8 @@ void PlsEpochExchange::finish_robust() {
                               obs::FlowPhase::kStep,
                               {{"epoch", std::to_string(epoch_)}});
           }
+          comm_.send(p, frame_data_tag(tag_base_, quota_, rank_),
+                     std::move(buf));
           ++out_.msgs_sent;
           out_.bytes_sent += wire.size();
           ++ss.attempts;
@@ -845,7 +833,7 @@ void PlsEpochExchange::finish_robust() {
         recv_state_[k].ok ? std::byte{1} : std::byte{0};
   }
   const auto all_bits = comm_.allgather(std::move(received_bits));
-  const ExchangePlan& plan = *s.active;
+  const ExchangePlan& plan = *s.plan;
   for (std::size_t i = 0; i < quota_; ++i) {
     const auto dest = static_cast<std::size_t>(plan.dest(i, rank_));
     DSHUF_CHECK_EQ(all_bits[dest].size(), static_cast<std::size_t>(m_),
@@ -922,10 +910,9 @@ ExchangeOutcome run_pls_exchange_epoch(comm::Communicator& comm,
                             {{"epoch", std::to_string(epoch)},
                              {"rank", std::to_string(rank)}});
 
-  // Every rank recomputes (or fetches) the identical plan from the shared
-  // seed — Algorithm 1's "all workers use the same random seed". The
-  // scratch (a caller-provided one in the steady state) reuses last
-  // epoch's tables.
+  // Every rank uses the identical plan derived from the shared seed —
+  // Algorithm 1's "all workers use the same random seed" — built once per
+  // process (see plan_for_epoch).
   ExchangeScratch local_scratch;
   ExchangeScratch& s = scratch != nullptr ? *scratch : local_scratch;
   plan_for_epoch(seed, epoch, m, quota, s);

@@ -2,7 +2,8 @@
 //
 // This is the paper's exchange as it would run on MPI: the destination
 // permutations come from the SHARED-seed ExchangePlan, which every rank
-// recomputes locally — no global coordination is exchanged, only samples.
+// can derive locally — no global coordination is exchanged, only samples.
+// Ranks in one process share one copy per epoch (acquire_exchange_plan).
 //
 // Two wire formats (see shuffle/exchange_wire.hpp, runtime-switchable):
 //
@@ -120,10 +121,11 @@ struct ExchangeOutcome {
 };
 
 /// Reusable per-rank working storage for run_pls_exchange_epoch. Optional:
-/// passing the same instance every epoch lets the exchange reuse the plan
-/// tables, routing lists, and staging cursors, which — together with the
-/// comm buffer pool — is what makes the steady-state fast path
-/// allocation-free (tests/test_exchange_alloc.cpp asserts the zero).
+/// passing the same instance every epoch lets the exchange reuse the
+/// routing lists and staging cursors, which — together with the comm
+/// buffer pool and the recycled plan-cache entries — is what makes the
+/// steady-state fast path allocation-free (tests/test_exchange_alloc.cpp
+/// asserts the zero).
 ///
 /// Peer routing is a CSR over the peers that actually exchange traffic
 /// with this rank (at most min(M, quota) of them), NOT dense over all M
@@ -132,9 +134,7 @@ struct ExchangeOutcome {
 /// unrepresentable. All peer-indexed arrays below are indexed by SLOT
 /// (position in send_peers / recv_peers, each sorted ascending by rank).
 struct ExchangeScratch {
-  ExchangePlan plan;  ///< in-place storage (used when interning is off)
-  std::shared_ptr<const ExchangePlan> interned;  ///< shared (interning on)
-  const ExchangePlan* active = nullptr;  ///< the epoch's plan, either way
+  SharedPlan plan;  ///< the epoch's plan, shared by every rank
   std::vector<std::uint32_t> picks;
   std::vector<SampleId> outgoing;
   std::vector<int> send_peers;  ///< ranks we send a frame to, ascending

@@ -50,8 +50,8 @@ enum class LockRank : int {
   kFault = 20,         ///< comm::FaultInjector queue/stats
   kShufflePolicy = 24, ///< shuffle::Topology process-wide policy slot —
                        ///< read once per epoch with no other lock held
-  kPlanCache = 25,     ///< shuffle plan interning cache (virtual-rank
-                       ///< worlds share one plan per epoch through it)
+  kPlanCache = 25,     ///< shuffle plan cache (every rank of the process
+                       ///< shares one plan per epoch through it)
   kBatchLoader = 30,   ///< data::BatchLoader prefetch queue
   kFileStore = 40,     ///< io::FileSampleStore directory ops
   kObs = 45,           ///< obs metrics registry / tracer buffers — above

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hpp"
 #include "util/error.hpp"
 
 namespace dshuf::comm {
@@ -276,6 +277,30 @@ TEST(Comm, ManyRanksStress) {
     // After 4 laps the token originated 4 ranks to the left.
     EXPECT_EQ(token, (c.rank() + kRanks - 4) % kRanks);
   });
+}
+
+// A pool's buffers stay counted exactly once in the comm.pool.* gauges
+// wherever moves take them, and leave the gauges with the last owner.
+TEST(BufferPool, MovesCarryGaugeAccountingOnce) {
+  auto& reg = obs::Registry::instance();
+  auto& buffers = reg.gauge("comm.pool.buffers");
+  auto& bytes = reg.gauge("comm.pool.bytes");
+  const std::int64_t buffers0 = buffers.value();
+  const std::int64_t bytes0 = bytes.value();
+  {
+    BufferPool a;
+    a.reserve(2, 1024);
+    const auto held = static_cast<std::int64_t>(a.free_bytes());
+    BufferPool b(std::move(a));
+    BufferPool c;
+    c.reserve(1, 4096);
+    c = std::move(b);  // c's own buffer leaves the gauges
+    EXPECT_EQ(buffers.value(), buffers0 + 2);
+    EXPECT_EQ(bytes.value(), bytes0 + held);
+    EXPECT_EQ(c.free_buffers(), 2U);
+  }
+  EXPECT_EQ(buffers.value(), buffers0);
+  EXPECT_EQ(bytes.value(), bytes0);
 }
 
 TEST(Comm, RejectsInvalidRanks) {

@@ -139,6 +139,54 @@ TEST(ExchangeQuota, CeilAndClamp) {
   EXPECT_THROW(exchange_quota(10, -0.1), CheckError);
 }
 
+void expect_same_plan(const ExchangePlan& got, const ExchangePlan& want) {
+  ASSERT_EQ(got.workers(), want.workers());
+  ASSERT_EQ(got.rounds(), want.rounds());
+  for (std::size_t i = 0; i < want.rounds(); ++i) {
+    for (int r = 0; r < want.workers(); ++r) {
+      ASSERT_EQ(got.dest(i, r), want.dest(i, r)) << "round " << i;
+      ASSERT_EQ(got.source(i, r), want.source(i, r)) << "round " << i;
+    }
+  }
+}
+
+PlanSpec cache_spec(std::uint64_t seed, std::size_t epoch) {
+  PlanSpec spec;
+  spec.seed = seed;
+  spec.epoch = epoch;
+  spec.workers = 8;
+  spec.quota = 6;
+  return spec;
+}
+
+TEST(PlanCache, CallersOfOneEpochShareOneBuild) {
+  const std::uint64_t builds = exchange_plan_builds();
+  SharedPlan a;
+  SharedPlan b;
+  acquire_exchange_plan(cache_spec(0xCAC4E01, 2), a);
+  acquire_exchange_plan(cache_spec(0xCAC4E01, 2), b);
+  EXPECT_EQ(a.get(), b.get());
+  EXPECT_EQ(exchange_plan_builds() - builds, 1U);
+  expect_same_plan(*a, ExchangePlan(0xCAC4E01, 2, 8, 6));
+}
+
+TEST(PlanCache, HeldPlanIsNeverRebuiltUnderItsHolder) {
+  // A straggler still holds epoch 3 while another caller runs many more
+  // epochs than the cache has slots: every miss recycles the oldest
+  // entry, and the held one must be replaced, not rebuilt in place.
+  const std::uint64_t seed = 0xCAC4E02;
+  SharedPlan held;
+  acquire_exchange_plan(cache_spec(seed, 3), held);
+  const ExchangePlan* before = held.get();
+  SharedPlan runner;
+  for (std::size_t e = 4; e < 20; ++e) {
+    acquire_exchange_plan(cache_spec(seed, e), runner);
+  }
+  EXPECT_EQ(held.get(), before);
+  expect_same_plan(*held, ExchangePlan(seed, 3, 8, 6));
+  expect_same_plan(*runner, ExchangePlan(seed, 19, 8, 6));
+}
+
 // The ablation claim: naive independent destinations are NOT balanced —
 // some worker receives measurably more than the quota.
 TEST(NaiveExchange, IsImbalanced) {

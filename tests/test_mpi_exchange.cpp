@@ -5,11 +5,13 @@
 #include "shuffle/mpi_exchange.hpp"
 
 #include <mutex>
+#include <optional>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "shuffle/shuffler.hpp"
 #include "shuffle/traffic.hpp"
 
@@ -114,6 +116,125 @@ TEST(MpiExchange, MovesPayloadBytes) {
         });
   });
   EXPECT_EQ(deposits, n);  // quota == shard at Q = 1: all samples moved
+}
+
+// Forwards to a rank's real endpoint and, at every DATA send, counts
+// whether the exchange has already stamped that message's send-side flow
+// point (kSend, or kStep for a retransmission). Stamping after send()
+// lets the receiver stamp the finish first, and a finish ahead of its
+// send is a trace `dshuf_trace --check` rejects.
+class FlowOrderProbe final : public comm::Communicator {
+ public:
+  FlowOrderProbe(comm::Communicator& inner,
+                 comm::detail::CollectiveSlots& slots)
+      : Communicator(inner.rank()), inner_(inner), slots_(slots) {}
+
+  [[nodiscard]] int size() const override { return inner_.size(); }
+  comm::Request isend(int dest, int tag,
+                      std::vector<std::byte> payload) override {
+    check(payload);
+    return inner_.isend(dest, tag, std::move(payload));
+  }
+  void send(int dest, int tag, std::vector<std::byte> payload) override {
+    check(payload);
+    inner_.send(dest, tag, std::move(payload));
+  }
+  comm::Request irecv(int source, int tag) override {
+    return inner_.irecv(source, tag);
+  }
+  comm::Message recv(int source, int tag) override {
+    return inner_.recv(source, tag);
+  }
+  std::optional<comm::Message> poll(int source, int tag) override {
+    return inner_.poll(source, tag);
+  }
+  bool cancel(comm::Request& request) override {
+    return inner_.cancel(request);
+  }
+  [[nodiscard]] bool fault_injection_enabled() const override {
+    return inner_.fault_injection_enabled();
+  }
+  void fence_faults() override { inner_.fence_faults(); }
+  void barrier() override { inner_.barrier(); }
+  [[nodiscard]] std::uint64_t now_us() override { return inner_.now_us(); }
+  void backoff(std::chrono::microseconds pause) override {
+    inner_.backoff(pause);
+  }
+  [[nodiscard]] comm::BufferPool& pool() override { return inner_.pool(); }
+
+  [[nodiscard]] std::size_t data_sends() const { return data_sends_; }
+  [[nodiscard]] std::size_t late_stamps() const { return late_; }
+
+ protected:
+  [[nodiscard]] comm::detail::CollectiveSlots& collective_slots() override {
+    return slots_;
+  }
+
+ private:
+  void check(const std::vector<std::byte>& payload) {
+    if (payload.empty()) return;  // an ACK: no flow of its own
+    ++data_sends_;
+    std::size_t stamped = 0;
+    for (const auto& f : obs::Tracer::instance().flow_snapshot()) {
+      if (f.track == rank() && f.phase != obs::FlowPhase::kFinish) ++stamped;
+    }
+    if (stamped < data_sends_) ++late_;
+  }
+
+  comm::Communicator& inner_;
+  comm::detail::CollectiveSlots& slots_;
+  std::size_t data_sends_ = 0;
+  std::size_t late_ = 0;
+};
+
+TEST(MpiExchange, StampsSendFlowPointBeforeEverySend) {
+  const std::size_t n = 32;
+  const int m = 4;
+  const double q = 0.5;
+  ExchangeRobustness robust;
+  robust.ack_timeout = std::chrono::milliseconds(500);
+  robust.recv_deadline = std::chrono::seconds(10);
+  const ExchangeRobustness* const modes[] = {nullptr, &robust};
+  auto& tracer = obs::Tracer::instance();
+  for (const ExchangeWire wire :
+       {ExchangeWire::kCoalesced, ExchangeWire::kPerSample}) {
+    for (const ExchangeRobustness* rb : modes) {
+      ScopedExchangeWire scoped(wire);
+      auto shards = make_shards(n, m);
+      std::vector<ShardStore> stores;
+      for (auto& s : shards) {
+        const std::size_t cap = s.size() + exchange_quota(n / m, q);
+        stores.emplace_back(std::move(s), cap);
+      }
+      comm::detail::CollectiveSlots slots;
+      slots.init(m);
+      std::vector<std::size_t> sends(m);
+      std::vector<std::size_t> late(m);
+      tracer.clear();
+      tracer.set_enabled(true);
+      comm::World world(m);
+      world.run([&](comm::Communicator& c) {
+        FlowOrderProbe probe(c, slots);
+        const auto r = static_cast<std::size_t>(c.rank());
+        for (std::size_t epoch = 0; epoch < 2; ++epoch) {
+          run_pls_exchange_epoch(probe, stores[r], 41, epoch, q, n / m,
+                                 nullptr, nullptr, rb);
+        }
+        sends[r] = probe.data_sends();
+        late[r] = probe.late_stamps();
+      });
+      tracer.set_enabled(false);
+      tracer.clear();
+      const char* mode = rb == nullptr ? "fast" : "robust";
+      for (int r = 0; r < m; ++r) {
+        const auto i = static_cast<std::size_t>(r);
+        EXPECT_GT(sends[i], 0U) << mode << " rank " << r;
+        EXPECT_EQ(late[i], 0U)
+            << mode << " rank " << r << " stamped " << late[i] << " of "
+            << sends[i] << " sends after send()";
+      }
+    }
+  }
 }
 
 TEST(MpiExchange, QZeroIsANoOp) {

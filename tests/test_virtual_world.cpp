@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "comm/fault.hpp"
+#include "obs/metrics.hpp"
 #include "shuffle/exchange_plan.hpp"
 #include "shuffle/mpi_exchange.hpp"
 #include "shuffle/shuffler.hpp"
@@ -297,6 +298,89 @@ TEST(VirtualWorld, RunsThousandsOfRanksCheaply) {
   });
   for (int r = 0; r < m; ++r) EXPECT_EQ(seen[static_cast<std::size_t>(r)], m);
   EXPECT_EQ(world.last_run_stats().flows, static_cast<std::uint64_t>(m));
+}
+
+// Both backends hand the receiver the sender's buffer itself, so a pooled
+// frame buffer keeps its capacity as it migrates between rank pools.
+template <typename WorldT>
+void expect_recv_returns_the_sent_buffer(WorldT& world) {
+  const std::size_t m = 2;
+  std::vector<const std::byte*> sent(m);
+  std::vector<const std::byte*> got(m);
+  std::vector<std::size_t> sent_cap(m);
+  std::vector<std::size_t> got_cap(m);
+  world.run([&](comm::Communicator& c) {
+    const int peer = 1 - c.rank();
+    std::vector<std::byte> buf = c.pool().acquire(4096);
+    buf.resize(100, std::byte{7});
+    sent[static_cast<std::size_t>(c.rank())] = buf.data();
+    sent_cap[static_cast<std::size_t>(c.rank())] = buf.capacity();
+    c.send(peer, 3, std::move(buf));
+    comm::Message msg = c.recv(peer, 3);
+    got[static_cast<std::size_t>(peer)] = msg.payload.data();
+    got_cap[static_cast<std::size_t>(peer)] = msg.payload.capacity();
+    c.pool().release(std::move(msg.payload));
+  });
+  for (std::size_t r = 0; r < m; ++r) {
+    EXPECT_EQ(got[r], sent[r]) << "rank " << r << "'s buffer was copied";
+    EXPECT_EQ(got_cap[r], sent_cap[r]) << "rank " << r;
+  }
+}
+
+TEST(VirtualWorld, RecvReturnsTheSendersBufferOnBothBackends) {
+  comm::World threaded(2);
+  expect_recv_returns_the_sent_buffer(threaded);
+  VirtualWorld virtualised(2);
+  expect_recv_returns_the_sent_buffer(virtualised);
+}
+
+// Every rank of a virtual world shares one plan per epoch: N epochs build
+// N plans, not N x M.
+TEST(VirtualWorld, BuildsOnePlanPerEpochForAllRanks) {
+  const int m = 256;
+  const std::size_t shard = 4;
+  const double q = 0.5;
+  const std::uint64_t seed = 0x9A7E;  // used by no other test: a cold cache
+  const std::size_t epochs = 5;
+  auto stores = make_stores(shard * static_cast<std::size_t>(m), m, q);
+  std::vector<shuffle::ExchangeScratch> scratch(static_cast<std::size_t>(m));
+  VirtualWorld world(m);
+  const std::uint64_t builds = shuffle::exchange_plan_builds();
+  for (std::size_t e = 0; e < epochs; ++e) {
+    world.run([&](comm::Communicator& c) {
+      const auto r = static_cast<std::size_t>(c.rank());
+      shuffle::run_pls_exchange_epoch(c, stores[r], seed, e, q, shard,
+                                      nullptr, nullptr, nullptr, &scratch[r]);
+    });
+  }
+  EXPECT_EQ(shuffle::exchange_plan_builds() - builds, epochs);
+}
+
+// Pools give their gauge accounting back when their world is destroyed,
+// so comm.pool.* describes live pools only.
+TEST(VirtualWorld, PoolGaugesForgetDestroyedWorlds) {
+  auto& reg = obs::Registry::instance();
+  const std::int64_t bytes = reg.gauge("comm.pool.bytes").value();
+  const std::int64_t buffers = reg.gauge("comm.pool.buffers").value();
+  const auto warm = [](comm::Communicator& c) {
+    c.pool().reserve(4, std::size_t{1} << 18);
+  };
+  for (int round = 0; round < 3; ++round) {
+    {
+      comm::World threaded(4);
+      threaded.run(warm);
+      EXPECT_GT(reg.gauge("comm.pool.bytes").value(), bytes);
+    }
+    EXPECT_EQ(reg.gauge("comm.pool.bytes").value(), bytes);
+    EXPECT_EQ(reg.gauge("comm.pool.buffers").value(), buffers);
+    {
+      VirtualWorld virtualised(4);
+      virtualised.run(warm);
+      EXPECT_EQ(reg.gauge("comm.pool.buffers").value(), buffers + 16);
+    }
+    EXPECT_EQ(reg.gauge("comm.pool.bytes").value(), bytes);
+    EXPECT_EQ(reg.gauge("comm.pool.buffers").value(), buffers);
+  }
 }
 
 TEST(VirtualWorld, DetectsDeadlockInsteadOfHanging) {

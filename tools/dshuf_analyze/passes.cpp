@@ -519,9 +519,6 @@ atomics_profiles() {
           {"src/obs/clock.hpp", {"acquire", "release", "acq_rel"}},
           {"src/obs/clock.cpp", {"acquire", "release", "acq_rel"}},
           {"src/shuffle/exchange_wire.cpp", {"acquire", "release"}},
-          // Plan-interning switch: plain published flag, same discipline
-          // as the wire switch above.
-          {"src/shuffle/exchange_plan.cpp", {"acquire", "release"}},
           // Slot-index backend switch: plain published flag.
           {"src/io/slot_index.cpp", {"acquire", "release"}},
           // Epoch pins: CAS-claimed under the store lock, released with a
