@@ -26,19 +26,23 @@ constexpr std::size_t kHeaderBytes = 8;
 constexpr std::uint32_t kTombstone = 0xFFFFFFFFu;
 constexpr std::uint32_t kMaxPayload = 0xFFFFFFFDu;
 
-// Slot ref packing: (segment index << 40) | offset of the record header.
-// 24 bits of segment sequence, 40 bits of offset (a segment can hold a
-// single TB-scale oversized payload without overflowing the ref).
+// Slot ref packing: (window position mod 2^24) << 40 | offset of the
+// record header. A ref names a segment by its position in the store's
+// window, not by its file's sequence number, so any file name replays to
+// a distinct ref; the 24 position bits stay unambiguous while the window
+// holds fewer than 2^24 segments, and 40 bits of offset cover a dedicated
+// segment for a kMaxPayload payload.
 constexpr unsigned kRefOffsetBits = 40;
 constexpr std::uint64_t kRefOffsetMask =
     (std::uint64_t{1} << kRefOffsetBits) - 1;
+constexpr std::size_t kRefPosMask =
+    (std::size_t{1} << (64 - kRefOffsetBits)) - 1;
+// Segment file names carry eight decimal digits of sequence number.
+constexpr std::size_t kMaxSegmentSeq = 99'999'999;
 
-std::uint64_t pack_ref(std::size_t seg, std::size_t off) {
-  return (static_cast<std::uint64_t>(seg) << kRefOffsetBits) |
+std::uint64_t pack_ref(std::size_t pos, std::size_t off) {
+  return (static_cast<std::uint64_t>(pos & kRefPosMask) << kRefOffsetBits) |
          static_cast<std::uint64_t>(off);
-}
-std::size_t ref_seg(std::uint64_t ref) {
-  return static_cast<std::size_t>(ref >> kRefOffsetBits);
 }
 std::size_t ref_off(std::uint64_t ref) {
   return static_cast<std::size_t>(ref & kRefOffsetMask);
@@ -51,10 +55,17 @@ std::uint32_t load_u32(const std::byte* p) {
 }
 void store_u32(std::byte* p, std::uint32_t v) { std::memcpy(p, &v, sizeof(v)); }
 
-std::size_t page_size() {
+std::size_t page_round(std::size_t len) {
   static const std::size_t pg =
       static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
-  return pg;
+  return (len + pg - 1) / pg * pg;
+}
+
+/// End the segment's log at `off` unless the header would not fit there
+/// (replay stops short of the segment's end anyway). A reused file holds
+/// stale records past its last new one; this keeps replay off them.
+void terminate_log_at(std::byte* base, std::size_t map_len, std::size_t off) {
+  if (off + kHeaderBytes <= map_len) std::memset(base + off, 0, kHeaderBytes);
 }
 
 std::string segment_name(std::size_t seq) {
@@ -102,6 +113,35 @@ MmapSampleStore::~MmapSampleStore() {
       seg.base = nullptr;
     }
   }
+  // Spare files replay as empty; the directory keeps only segments in use.
+  for (const auto& spare : spares_) {
+    unmap_and_unlink(spare.base, spare.map_len, spare.seq);
+  }
+}
+
+MmapSampleStore::Segment& MmapSampleStore::seg_of(std::uint64_t ref) {
+  return segs_[((ref >> kRefOffsetBits) - first_pos_) & kRefPosMask];
+}
+
+const MmapSampleStore::Segment& MmapSampleStore::seg_of(
+    std::uint64_t ref) const {
+  return segs_[((ref >> kRefOffsetBits) - first_pos_) & kRefPosMask];
+}
+
+fs::path MmapSampleStore::segment_path(std::size_t seq) const {
+  return cfg_.dir / segment_name(seq);
+}
+
+void MmapSampleStore::unmap_and_unlink(std::byte* base, std::size_t len,
+                                       std::size_t seq) const {
+  ::munmap(base, len);
+  const fs::path path = segment_path(seq);
+  // analyze:blocking-ok unlink of a dead segment file is rare + amortised
+  std::error_code ec;
+  fs::remove(path, ec);
+  if (ec) {
+    LOG_WARN << "mmap_store: cannot unlink " << path;
+  }
 }
 
 void MmapSampleStore::open_existing_locked() {
@@ -120,9 +160,15 @@ void MmapSampleStore::open_existing_locked() {
   }
   if (found.empty()) return;
   std::sort(found.begin(), found.end());
-  segs_.resize(found.back().first + 1);
+  DSHUF_CHECK_LE(found.size(), kRefPosMask,
+                 "mmap_store: too many segment files in " << cfg_.dir);
+  // Window positions 0..n-1 follow sequence order, whatever the gaps
+  // between the numbers in the file names.
+  segs_.resize(found.size());
+  next_seq_ = found.back().first + 1;
 
-  for (const auto& [seq, path] : found) {
+  for (std::size_t pos = 0; pos < found.size(); ++pos) {
+    const auto& [seq, path] = found[pos];
     // analyze:blocking-ok one-time mmap replay at store open
     const int fd = ::open(path.c_str(), O_RDWR);
     DSHUF_CHECK_GE(fd, 0, "mmap_store: cannot open " << path);
@@ -133,10 +179,10 @@ void MmapSampleStore::open_existing_locked() {
         ::mmap(nullptr, len, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
     ::close(fd);
     DSHUF_CHECK(base != MAP_FAILED, "mmap_store: mmap " << path);
-    Segment& seg = segs_[seq];
+    Segment& seg = segs_[pos];
     seg.base = static_cast<std::byte*>(base);
     seg.map_len = len;
-    seg.path = path;
+    seg.seq = seq;
     seg.sealed = true;  // reopened segments are never appended to
 
     // Replay records into the index (later records overwrite earlier).
@@ -154,7 +200,7 @@ void MmapSampleStore::open_existing_locked() {
       const std::size_t plen = enc - 1;
       DSHUF_CHECK_LE(off + kHeaderBytes + plen, len,
                      "mmap_store: truncated record in " << path);
-      index_->put(id, pack_ref(seq, off));
+      index_->put(id, pack_ref(pos, off));
       off += kHeaderBytes + plen;
     }
     seg.bump = off;
@@ -165,73 +211,80 @@ void MmapSampleStore::open_existing_locked() {
   // so compaction sees it immediately.
   live_bytes_ = 0;
   index_->for_each([this](data::SampleId, std::uint64_t ref) {
-    Segment& seg = segs_[ref_seg(ref)];
+    Segment& seg = seg_of(ref);
     const std::size_t plen = load_u32(seg.base + ref_off(ref)) - 1;
     seg.live_records += 1;
     seg.live_payload += plen;
     live_bytes_ += plen;
   });
   // Fully dead reopened segments can be freed right away: no reader can
-  // hold a pin before the constructor returns. Ascending order matters:
-  // once an earlier segment's file is gone, tombstones masking it in a
-  // later segment are no longer needed and can be dropped instead of
-  // re-logged. Freeing may re-log still-needed tombstones into a fresh
-  // active segment — snapshot the count and skip the active so the
-  // re-log target is not itself swept.
-  const std::size_t n = segs_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i != active_ && segs_[i].base != nullptr &&
-        segs_[i].live_records == 0) {
-      free_segment_locked(i);
-    }
-  }
+  // hold a pin before the constructor returns, and nothing is quarantined.
+  sweep_dead_locked();
 }
 
 MmapSampleStore::Segment& MmapSampleStore::new_segment_locked(
     std::size_t min_payload_bytes) {
-  std::size_t want = kHeaderBytes + min_payload_bytes;
-  std::size_t len = std::max(cfg_.segment_bytes, want);
-  const std::size_t pg = page_size();
-  len = (len + pg - 1) / pg * pg;
+  const std::size_t len = page_round(
+      std::max(cfg_.segment_bytes, kHeaderBytes + min_payload_bytes));
+  const std::size_t seq = next_seq_;
+  const fs::path path = segment_path(seq);
+  DSHUF_CHECK_LE(seq, kMaxSegmentSeq,
+                 "mmap_store: segment sequence exhausted, cannot name "
+                     << path);
+  DSHUF_CHECK_LT(segs_.size(), kRefPosMask,
+                 "mmap_store: too many segments in the window");
 
-  const std::size_t seq = segs_.size();
-  const fs::path path = cfg_.dir / segment_name(seq);
-  // analyze:blocking-ok segment creation is a rare, amortised event
-  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
-  DSHUF_CHECK_GE(fd, 0, "mmap_store: cannot create " << path);
-  DSHUF_CHECK_EQ(::ftruncate(fd, static_cast<off_t>(len)), 0,
-                 "mmap_store: ftruncate " << path);
-  void* base = ::mmap(nullptr, len, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
-  ::close(fd);
-  DSHUF_CHECK(base != MAP_FAILED, "mmap_store: mmap " << path);
-
-  if (active_ != SIZE_MAX) segs_[active_].sealed = true;
-  // analyze:alloc-ok segment bookkeeping grows once per segment file
   Segment seg;
-  seg.base = static_cast<std::byte*>(base);
   seg.map_len = len;
-  seg.path = path;
-  segs_.push_back(std::move(seg));
-  active_ = seq;
-  DSHUF_COUNTER("store.segments_created").add(1);
-  return segs_[active_];
+  seg.seq = seq;
+  if (!spares_.empty() && spares_.back().map_len == len) {
+    // The spare's file already replays as empty; renaming it before the
+    // first append keeps replay in sequence order. Its pages are resident
+    // and writable, so appends take no faults.
+    const fs::path old = segment_path(spares_.back().seq);
+    DSHUF_CHECK_EQ(::rename(old.c_str(), path.c_str()), 0,
+                   "mmap_store: cannot rename " << old << " to " << path);
+    seg.base = spares_.back().base;
+    spares_.pop_back();
+    DSHUF_COUNTER("store.segments_recycled").add(1);
+  } else {
+    // analyze:blocking-ok segment creation is a rare, amortised event
+    const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
+    DSHUF_CHECK_GE(fd, 0, "mmap_store: cannot create " << path);
+    DSHUF_CHECK_EQ(::ftruncate(fd, static_cast<off_t>(len)), 0,
+                   "mmap_store: ftruncate " << path);
+    void* base =
+        ::mmap(nullptr, len, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
+    ::close(fd);
+    DSHUF_CHECK(base != MAP_FAILED, "mmap_store: mmap " << path);
+    seg.base = static_cast<std::byte*>(base);
+    DSHUF_COUNTER("store.segments_created").add(1);
+  }
+  next_seq_ = seq + 1;
+
+  if (active_ != SIZE_MAX) seg_at(active_).sealed = true;
+  // analyze:alloc-ok the window grows to the mapped segments' span once
+  segs_.push_back(seg);
+  active_ = end_pos() - 1;
+  return segs_.back();
 }
 
 std::uint64_t MmapSampleStore::append_locked(
     data::SampleId id, std::span<const std::byte> payload) {
   DSHUF_CHECK_LE(payload.size(), kMaxPayload, "mmap_store: payload too large");
   const std::size_t need = kHeaderBytes + payload.size();
-  if (active_ == SIZE_MAX || segs_[active_].bump + need >
-                                 segs_[active_].map_len) {
+  if (active_ == SIZE_MAX ||
+      seg_at(active_).bump + need > seg_at(active_).map_len) {
     new_segment_locked(payload.size());
   }
-  Segment& seg = segs_[active_];
+  Segment& seg = seg_at(active_);
   const std::size_t off = seg.bump;
   std::byte* rec = seg.base + off;
   store_u32(rec + 4, static_cast<std::uint32_t>(id));
   if (!payload.empty()) {
     std::memcpy(rec + kHeaderBytes, payload.data(), payload.size());
   }
+  terminate_log_at(seg.base, seg.map_len, off + need);
   // Length goes last: a crash mid-append leaves enc == 0 and the partial
   // record reads as end-of-segment on replay.
   store_u32(rec, static_cast<std::uint32_t>(payload.size()) + 1);
@@ -243,18 +296,19 @@ std::uint64_t MmapSampleStore::append_locked(
 
 void MmapSampleStore::append_tombstone_locked(data::SampleId id) {
   if (active_ == SIZE_MAX ||
-      segs_[active_].bump + kHeaderBytes > segs_[active_].map_len) {
+      seg_at(active_).bump + kHeaderBytes > seg_at(active_).map_len) {
     new_segment_locked(0);
   }
-  Segment& act = segs_[active_];
+  Segment& act = seg_at(active_);
   std::byte* rec = act.base + act.bump;
   store_u32(rec + 4, static_cast<std::uint32_t>(id));
+  terminate_log_at(act.base, act.map_len, act.bump + kHeaderBytes);
   store_u32(rec, kTombstone);
   act.bump += kHeaderBytes;
 }
 
 void MmapSampleStore::quarantine_locked(std::uint64_t ref, std::uint32_t len) {
-  Segment& seg = segs_[ref_seg(ref)];
+  Segment& seg = seg_of(ref);
   seg.live_records -= 1;
   seg.live_payload -= len;
   seg.quarantined_records += 1;
@@ -269,7 +323,7 @@ void MmapSampleStore::save(data::SampleId id,
   std::uint64_t old_ref = 0;
   const bool had = index_->find(id, old_ref);
   const std::size_t old_len =
-      had ? load_u32(segs_[ref_seg(old_ref)].base + ref_off(old_ref)) - 1 : 0;
+      had ? load_u32(seg_of(old_ref).base + ref_off(old_ref)) - 1 : 0;
   if (cfg_.capacity_bytes != 0) {
     // Byte-exact (1+Q)*N/M bound on LIVE payload: an overwrite only
     // charges the delta, exactly like FileSampleStore's directory.
@@ -287,8 +341,7 @@ void MmapSampleStore::save(data::SampleId id,
 
 std::span<const std::byte> MmapSampleStore::payload_at(
     std::uint64_t ref) const {
-  const Segment& seg = segs_[ref_seg(ref)];
-  const std::byte* rec = seg.base + ref_off(ref);
+  const std::byte* rec = seg_of(ref).base + ref_off(ref);
   const std::uint32_t enc = load_u32(rec);
   return {rec + kHeaderBytes, enc - 1};
 }
@@ -343,8 +396,7 @@ void MmapSampleStore::remove(data::SampleId id) {
   DSHUF_CHECK(index_->find(id, ref),
               "remove: sample " << id << " not stored");
   index_->erase(id);
-  const std::uint32_t len =
-      load_u32(segs_[ref_seg(ref)].base + ref_off(ref)) - 1;
+  const std::uint32_t len = load_u32(seg_of(ref).base + ref_off(ref)) - 1;
   // The record's bytes stay untouched (a pinned reader may still be on
   // them); a tombstone appended to the active segment makes the removal
   // durable across reopen.
@@ -389,7 +441,8 @@ std::uint64_t MmapSampleStore::min_pinned_locked() const {
   return min;
 }
 
-void MmapSampleStore::free_segment_locked(std::size_t seg_idx) {
+void MmapSampleStore::free_segment_locked(std::size_t pos,
+                                          std::size_t spare_cap) {
   // A tombstone in this segment may be the only thing masking an older
   // record for the same id in an earlier, still-retained segment file:
   // unlinking the file as-is would resurrect that record (or a stale
@@ -399,16 +452,16 @@ void MmapSampleStore::free_segment_locked(std::size_t seg_idx) {
   // shadows, so sequence order already wins; and with no earlier
   // retained segment there is nothing left to mask.
   bool earlier_retained = false;
-  for (std::size_t j = 0; j < seg_idx; ++j) {
-    if (segs_[j].base != nullptr) {
+  for (std::size_t p = first_pos_; p < pos; ++p) {
+    if (seg_at(p).base != nullptr) {
       earlier_retained = true;
       break;
     }
   }
   if (earlier_retained) {
     // append_tombstone_locked may grow segs_; walk via stable copies.
-    std::byte* const base = segs_[seg_idx].base;
-    const std::size_t bump = segs_[seg_idx].bump;
+    std::byte* const base = seg_at(pos).base;
+    const std::size_t bump = seg_at(pos).bump;
     std::size_t off = 0;
     while (off + kHeaderBytes <= bump) {
       const std::uint32_t enc = load_u32(base + off);
@@ -423,19 +476,66 @@ void MmapSampleStore::free_segment_locked(std::size_t seg_idx) {
       }
     }
   }
-  Segment& seg = segs_[seg_idx];  // re-fetched: the re-log may grow segs_
-  ::munmap(seg.base, seg.map_len);
-  seg.base = nullptr;
-  // analyze:blocking-ok unlink of a dead segment file is rare + amortised
-  std::error_code ec;
-  fs::remove(seg.path, ec);
-  if (ec) {
-    LOG_WARN << "mmap_store: cannot unlink " << seg.path;
+  Segment& seg = seg_at(pos);  // re-fetched: the re-log may grow segs_
+  if (seg.map_len == page_round(cfg_.segment_bytes) &&
+      spares_.size() < spare_cap) {
+    // Zeroing the first header, after the re-log above and before any
+    // rename, makes the file replay as empty under its old name.
+    terminate_log_at(seg.base, seg.map_len, 0);
+    // analyze:alloc-ok spares are bounded by the segments holding live data
+    spares_.push_back(seg);
+  } else {
+    unmap_and_unlink(seg.base, seg.map_len, seg.seq);
   }
+  seg.base = nullptr;
   seg.map_len = 0;
   seg.bump = 0;
-  if (active_ == seg_idx) active_ = SIZE_MAX;
+  if (active_ == pos) active_ = SIZE_MAX;
   DSHUF_COUNTER("store.segments_freed").add(1);
+}
+
+void MmapSampleStore::sweep_dead_locked() {
+  // Spares number at most one more than the segments holding live
+  // records: rewriting the live set takes as many segments again, plus one
+  // where records straddle segment boundaries. A store whose live records
+  // fit in one segment keeps none, so a small store's footprint never
+  // doubles. A sweep frees only segments without live records, so the cap
+  // holds throughout it.
+  std::size_t live_segments = 0;
+  for (const Segment& seg : segs_) {
+    if (seg.live_records > 0) ++live_segments;
+  }
+  const std::size_t spare_cap = live_segments > 1 ? live_segments + 1 : 0;
+  // Dead sealed segments: those whose last quarantined record retired, AND
+  // tombstone-only segments (zero live, zero quarantined from birth) that
+  // retirement never references — without them, remove-heavy workloads
+  // leak mapped tombstone-only segments until process exit. No pin can
+  // point into a candidate: pinning requires a live record at pin time,
+  // and its later quarantine entry cannot retire while the pin is held.
+  // Ascending order lets a later segment's tombstones drop once
+  // everything they mask is unlinked. free_segment_locked may re-log
+  // tombstones into a new active segment, which is not a candidate: probe
+  // by position against a snapshot of the window's end.
+  const std::size_t end = end_pos();
+  for (std::size_t pos = first_pos_; pos < end; ++pos) {
+    const Segment& seg = seg_at(pos);
+    if (pos != active_ && seg.base != nullptr && seg.sealed &&
+        seg.live_records == 0 && seg.quarantined_records == 0) {
+      free_segment_locked(pos, spare_cap);
+    }
+  }
+  while (spares_.size() > spare_cap) {
+    unmap_and_unlink(spares_.back().base, spares_.back().map_len,
+                     spares_.back().seq);
+    spares_.pop_back();
+  }
+  // Segments die roughly oldest first: dropping the dead prefix keeps the
+  // window, and every walk over it, as long as the mapped span.
+  std::size_t dead = 0;
+  while (dead < segs_.size() && segs_[dead].base == nullptr) ++dead;
+  segs_.erase(segs_.begin(),
+              segs_.begin() + static_cast<std::ptrdiff_t>(dead));
+  first_pos_ += dead;
 }
 
 void MmapSampleStore::reclaim_locked() {
@@ -446,8 +546,7 @@ void MmapSampleStore::reclaim_locked() {
     // A pin taken in epoch E can only hold spans live (or quarantined)
     // at E; retiring strictly-older quarantine entries is safe.
     if (q.retire_epoch >= min_pin) break;
-    Segment& seg = segs_[ref_seg(q.ref)];
-    seg.quarantined_records -= 1;
+    seg_of(q.ref).quarantined_records -= 1;
     quarantined_bytes_ -= q.len;
     ++quarantine_head_;
     ++retired;
@@ -456,23 +555,7 @@ void MmapSampleStore::reclaim_locked() {
     quarantine_.clear();
     quarantine_head_ = 0;
   }
-  // Sweep dead sealed segments: those whose last quarantined record just
-  // retired, AND tombstone-only segments (zero live, zero quarantined
-  // from birth) the drain above never references — without this sweep,
-  // remove-heavy workloads leak mapped tombstone-only segments until
-  // process exit. No pin can point into a candidate: pinning requires a
-  // live record at pin time, and its later quarantine entry cannot
-  // retire while the pin is held. Ascending order lets a later
-  // segment's tombstones drop once everything they mask is unlinked;
-  // free_segment_locked may re-log tombstones and grow segs_, so probe
-  // by index against a snapshot of the count.
-  const std::size_t n = segs_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i != active_ && segs_[i].base != nullptr && segs_[i].sealed &&
-        segs_[i].live_records == 0 && segs_[i].quarantined_records == 0) {
-      free_segment_locked(i);
-    }
-  }
+  sweep_dead_locked();
   if (retired > 0) DSHUF_COUNTER("store.reclaims").add(retired);
 }
 
@@ -480,10 +563,10 @@ void MmapSampleStore::compact_locked() {
   // Copy survivors of cold sealed segments into the active segment and
   // quarantine the originals: the same retire machinery then frees the
   // file once in-flight readers drain.
-  const std::size_t n = segs_.size();  // new segments are not candidates
-  for (std::size_t i = 0; i < n; ++i) {
-    Segment& seg = segs_[i];
-    if (seg.base == nullptr || !seg.sealed || i == active_) continue;
+  const std::size_t end = end_pos();  // new segments are not candidates
+  for (std::size_t pos = first_pos_; pos < end; ++pos) {
+    Segment& seg = seg_at(pos);
+    if (seg.base == nullptr || !seg.sealed || pos == active_) continue;
     if (seg.live_records == 0) continue;
     if (static_cast<double>(seg.live_payload) >=
         cfg_.compact_live_fraction * static_cast<double>(seg.bump)) {
@@ -506,12 +589,12 @@ void MmapSampleStore::compact_locked() {
       std::uint64_t cur = 0;
       // Only records the index still points at are live; stale extents
       // (overwritten or removed) are already in quarantine.
-      if (index_->find(id, cur) && cur == pack_ref(i, off)) {
+      if (index_->find(id, cur) && cur == pack_ref(pos, off)) {
         const std::span<const std::byte> payload{base + off + kHeaderBytes,
                                                  plen};
         const std::uint64_t moved = append_locked(id, payload);
         index_->put(id, moved);
-        quarantine_locked(pack_ref(i, off),
+        quarantine_locked(pack_ref(pos, off),
                           static_cast<std::uint32_t>(plen));
       }
       off += kHeaderBytes + plen;
@@ -544,6 +627,7 @@ void MmapSampleStore::update_gauges_locked() const {
       ++mapped;
     }
   }
+  for (const auto& spare : spares_) resident += spare.map_len;
   DSHUF_GAUGE("store.resident_bytes").set(static_cast<std::int64_t>(resident));
   DSHUF_GAUGE("store.live_bytes").set(static_cast<std::int64_t>(live_bytes_));
   DSHUF_GAUGE("store.quarantine_bytes")
@@ -562,6 +646,7 @@ std::size_t MmapSampleStore::resident_bytes() const {
   for (const auto& seg : segs_) {
     if (seg.base != nullptr) total += seg.map_len;
   }
+  for (const auto& spare : spares_) total += spare.map_len;
   return total;
 }
 

@@ -23,11 +23,19 @@
 //     whose tag is strictly below the minimum pinned epoch: no reader
 //     that could still hold the span survives, so the bytes are dead;
 //   * a sealed segment whose records have all died (including segments
-//     holding only tombstones) is unmapped and its file deleted; a sealed
-//     segment whose live fraction drops under the compaction threshold
-//     has its survivors copied to the active segment (index re-pointed,
-//     old extents quarantined) so the file can be freed on a later epoch;
-//   * before a segment file is unlinked, any tombstone it holds for an id
+//     holding only tombstones) is freed. A nominal-size one is kept
+//     mapped as a SPARE while spares number at most one more than the
+//     segments holding live records (none while those fit in one
+//     segment): its first record header is zeroed so the file replays as
+//     empty, and a later rollover renames it to the next sequence number
+//     and appends into its resident pages — no open, ftruncate, mmap or
+//     page faults. Any other dead segment is unmapped and its file
+//     deleted;
+//   * a sealed segment whose live fraction drops under the compaction
+//     threshold has its survivors copied to the active segment (index
+//     re-pointed, old extents quarantined) so the file can be freed on a
+//     later epoch;
+//   * before a segment is freed, any tombstone it holds for an id
 //     still absent from the index is RE-LOGGED into the active segment
 //     while an earlier segment file survives on disk — otherwise the next
 //     reopen would replay the earlier segment's record unmasked and
@@ -38,6 +46,9 @@
 //   enc      := 0            end of segment (zero-filled tail)
 //             | 0xFFFFFFFF   tombstone for id (remove survives reopen)
 //             | len + 1      live record of len payload bytes
+// Every append writes a zero header right after its record (when it fits)
+// before publishing the record's length word, so a reused file replays
+// only its new records, never the stale bytes behind them.
 //
 // disk_bytes() reports LIVE payload bytes only — byte-identical to
 // FileSampleStore over any schedule (the differential suite asserts it),
@@ -142,8 +153,8 @@ class MmapSampleStore final : public SampleStore {
 
   // ---------------------------------------------------- introspection --
 
-  /// Bytes currently mapped (live + dead + quarantined + unused tail) —
-  /// the store's operational memory/disk footprint.
+  /// Bytes currently mapped (live + dead + quarantined + unused tail +
+  /// spares) — the store's operational memory/disk footprint.
   [[nodiscard]] std::size_t resident_bytes() const;
   /// Payload bytes removed but not yet retired (reclaim backlog).
   [[nodiscard]] std::size_t quarantined_bytes() const;
@@ -151,7 +162,7 @@ class MmapSampleStore final : public SampleStore {
   [[nodiscard]] std::uint64_t epoch() const;
   /// Epochs the oldest quarantined slot has been waiting (0 = none).
   [[nodiscard]] std::uint64_t reclaim_lag() const;
-  /// Mapped segment files.
+  /// Mapped segment files in use (spares excluded).
   [[nodiscard]] std::size_t segment_count() const;
   [[nodiscard]] SlotIndexKind index_kind() const { return cfg_.index_kind; }
   [[nodiscard]] SlotIndexStats index_stats() const;
@@ -167,8 +178,8 @@ class MmapSampleStore final : public SampleStore {
     std::size_t live_records = 0;
     std::size_t live_payload = 0;
     std::size_t quarantined_records = 0;
+    std::size_t seq = 0;  // number in the file name: replay order
     bool sealed = false;
-    std::filesystem::path path;
   };
   struct Quarantined {
     std::uint64_t ref = 0;
@@ -177,6 +188,8 @@ class MmapSampleStore final : public SampleStore {
   };
 
   void open_existing_locked();
+  /// Next segment: a spare renamed to the next sequence number when one of
+  /// the wanted length exists, else a fresh file.
   Segment& new_segment_locked(std::size_t min_payload_bytes);
   /// Append a record; returns its packed ref. Lock held.
   std::uint64_t append_locked(data::SampleId id,
@@ -186,14 +199,40 @@ class MmapSampleStore final : public SampleStore {
   void quarantine_locked(std::uint64_t ref, std::uint32_t len);
   void reclaim_locked();
   void compact_locked();
-  void free_segment_locked(std::size_t seg_idx);
+  /// Free every dead sealed segment, oldest first, then release spares
+  /// over the cap and trim the window's dead prefix.
+  void sweep_dead_locked();
+  /// Free a dead segment: keep it as a spare while fewer than `spare_cap`
+  /// are kept, else unmap and unlink it.
+  void free_segment_locked(std::size_t pos, std::size_t spare_cap);
+  void unmap_and_unlink(std::byte* base, std::size_t len,
+                        std::size_t seq) const;
   void update_gauges_locked() const;
   [[nodiscard]] std::uint64_t min_pinned_locked() const;
   [[nodiscard]] std::span<const std::byte> payload_at(std::uint64_t ref) const;
+  [[nodiscard]] Segment& seg_at(std::size_t pos) {
+    return segs_[pos - first_pos_];
+  }
+  [[nodiscard]] Segment& seg_of(std::uint64_t ref);
+  [[nodiscard]] const Segment& seg_of(std::uint64_t ref) const;
+  [[nodiscard]] std::size_t end_pos() const {
+    return first_pos_ + segs_.size();
+  }
+  [[nodiscard]] std::filesystem::path segment_path(std::size_t seq) const;
 
   MmapStoreConfig cfg_;
+  /// The window of segments from the oldest mapped one to the newest:
+  /// segs_[i] sits at window position first_pos_ + i. Refs name positions,
+  /// not file sequence numbers, and the dead prefix is trimmed after every
+  /// sweep, so bookkeeping follows the mapped segments rather than every
+  /// segment ever written.
   std::vector<Segment> segs_;
-  std::size_t active_ = SIZE_MAX;  // index into segs_, SIZE_MAX = none
+  std::size_t first_pos_ = 0;
+  std::size_t next_seq_ = 0;       // sequence number of the next file
+  std::size_t active_ = SIZE_MAX;  // window position, SIZE_MAX = none
+  /// Dead nominal-size segments kept mapped for reuse; each file's first
+  /// header is zero, so it replays as empty under its old name.
+  std::vector<Segment> spares_;
   std::unique_ptr<SlotIndex> index_;
   std::vector<Quarantined> quarantine_;  // FIFO; head_ is the pop cursor
   std::size_t quarantine_head_ = 0;

@@ -11,11 +11,13 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <random>
 #include <thread>
 #include <vector>
 
 #include "io/mmap_store.hpp"
+#include "obs/metrics.hpp"
 #include "util/error.hpp"
 
 namespace dshuf::io {
@@ -39,6 +41,21 @@ std::vector<std::byte> payload_for(data::SampleId id, std::size_t min_len = 1,
   std::vector<std::byte> p(len);
   for (auto& b : p) b = static_cast<std::byte>(rng() & 0xFF);
   return p;
+}
+
+std::uint64_t created_segments() {
+  return obs::Registry::instance().counter("store.segments_created").value();
+}
+std::uint64_t recycled_segments() {
+  return obs::Registry::instance().counter("store.segments_recycled").value();
+}
+
+std::size_t files_in(const fs::path& dir) {
+  std::size_t n = 0;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    n += e.is_regular_file() ? 1 : 0;
+  }
+  return n;
 }
 
 class MmapStoreTest : public ::testing::Test {
@@ -382,6 +399,160 @@ TEST_F(MmapStoreTest, ReopenIgnoresForeignFiles) {
   EXPECT_TRUE(reopened.contains(1));
 }
 
+// A store whose whole live set is rewritten every epoch reuses the
+// segments the previous generation left behind. 63 records of 1000 B fill
+// four to a segment and straddle segment boundaries: the first rewrite
+// finds no spare, the second finds only the fill's fully dead segments
+// (its last one straddles), and from the third on no file is created.
+TEST_F(MmapStoreTest, SteadyTurnoverRecyclesDeadSegments) {
+  MmapStoreConfig cfg;
+  cfg.dir = dir_;
+  cfg.segment_bytes = 4096;
+  MmapSampleStore store(cfg);
+  constexpr data::SampleId kIds = 63;
+  constexpr std::size_t kLen = 1000;
+  constexpr std::size_t kLiveSegments = 16;  // ceil(63 / 4)
+  std::size_t max_files = 0;
+  auto write_generation = [&](std::uint32_t gen) {
+    for (data::SampleId id = 0; id < kIds; ++id) {
+      store.save(id, payload_for(id + gen * 1'000, kLen, kLen));
+      max_files = std::max(max_files, files_in(dir_));
+    }
+    store.advance_epoch();
+  };
+  write_generation(0);
+  write_generation(1);
+  write_generation(2);
+  const std::uint64_t created = created_segments();
+  const std::uint64_t recycled = recycled_segments();
+  for (std::uint32_t gen = 3; gen < 20; ++gen) write_generation(gen);
+
+  EXPECT_EQ(created_segments(), created) << "fresh file in steady turnover";
+  EXPECT_GE(recycled_segments() - recycled, 17U * (kLiveSegments - 1));
+  EXPECT_LE(max_files, 2 * kLiveSegments + 1);
+  for (data::SampleId id = 0; id < kIds; ++id) {
+    std::vector<std::byte> out;
+    store.load_into(id, out);
+    ASSERT_EQ(out, payload_for(id + 19'000, kLen, kLen)) << "id " << id;
+  }
+}
+
+// Only nominal-size segments are kept for reuse: a dead dedicated segment
+// is unmapped and its file deleted even while spares are allowed.
+TEST_F(MmapStoreTest, FreedOversizedSegmentIsUnlinkedNotKept) {
+  MmapStoreConfig cfg;
+  cfg.dir = dir_;
+  cfg.segment_bytes = 4096;
+  MmapSampleStore store(cfg);
+  // Segments 0..4 hold 20 live records of 1000 B (four apiece).
+  for (data::SampleId id = 0; id < 20; ++id) {
+    store.save(id, payload_for(id, 1000, 1000));
+  }
+  // A dedicated 12 KiB segment 5, too full for the next record...
+  store.save(100, std::vector<std::byte>(12'000, std::byte{0x5A}));
+  // ...which rolls over into segment 6 and seals it.
+  store.save(20, payload_for(20, 1000, 1000));
+  ASSERT_EQ(store.segment_count(), 7U);
+  const std::size_t resident = store.resident_bytes();
+  store.remove(100);
+  store.advance_epoch();
+  EXPECT_EQ(store.segment_count(), 6U);
+  EXPECT_EQ(store.resident_bytes(), resident - 12'288);  // page-rounded
+  EXPECT_FALSE(fs::exists(dir_ / "seg00000005.dshuf"));
+  EXPECT_EQ(files_in(dir_), 6U);
+}
+
+// A ref names a segment by its place among the mapped segments, not by
+// the number in its file name: a file numbered past the ref's 24 segment
+// bits replays to its own records, and bookkeeping is sized by the files
+// present rather than by the largest number.
+TEST_F(MmapStoreTest, ReopenAddressesSegmentsWhateverTheirNumbers) {
+  const fs::path other = dir_ / "other";
+  {
+    MmapSampleStore store(dir_);
+    store.save(7, bytes_of({'A', 'A', 'A', 'A'}));
+  }
+  {
+    MmapSampleStore store(other);
+    store.save(9, bytes_of({'B', 'B', 'B', 'B'}));
+  }
+  fs::rename(other / "seg00000000.dshuf", dir_ / "seg16777216.dshuf");
+  fs::remove_all(other);
+  for (int round = 0; round < 2; ++round) {
+    MmapSampleStore reopened(dir_);
+    std::vector<std::byte> out;
+    reopened.load_into(7, out);
+    EXPECT_EQ(out, bytes_of({'A', 'A', 'A', 'A'})) << "reopen " << round;
+    out.clear();
+    reopened.load_into(9, out);
+    EXPECT_EQ(out, bytes_of({'B', 'B', 'B', 'B'})) << "reopen " << round;
+    EXPECT_EQ(reopened.size(), 2U + static_cast<std::size_t>(round));
+    // New segments continue after the largest number.
+    reopened.save(11 + static_cast<data::SampleId>(round), bytes_of({'C'}));
+  }
+  EXPECT_TRUE(fs::exists(dir_ / "seg16777217.dshuf"));
+}
+
+// File names carry eight digits of sequence number; a segment past that
+// would be skipped as a foreign file on reopen, so creating it is refused.
+TEST_F(MmapStoreTest, RefusesSegmentNumberItCannotName) {
+  {
+    MmapSampleStore store(dir_);
+    store.save(1, bytes_of({1, 2, 3}));
+  }
+  fs::rename(dir_ / "seg00000000.dshuf", dir_ / "seg99999999.dshuf");
+  MmapSampleStore reopened(dir_);
+  EXPECT_TRUE(reopened.contains(1));
+  // Reopened segments are sealed: the next save needs segment 10^8.
+  EXPECT_THROW(reopened.save(2, bytes_of({4})), CheckError);
+  EXPECT_FALSE(reopened.contains(2));
+  std::vector<std::byte> out;
+  reopened.load_into(1, out);
+  EXPECT_EQ(out, bytes_of({1, 2, 3}));
+}
+
+// Crash points between operations: after every step of a seeded script
+// of saves, overwrites, removes and epoch advances, a copy of the store's
+// directory must reopen to exactly the reference contents. Payloads grow
+// with the step, so the live set comes to span several 4 KiB segments and
+// dead ones are reused: a reused file must replay only its new records.
+TEST_F(MmapStoreTest, EverySnapshotBetweenOperationsReopensToReference) {
+  MmapStoreConfig cfg;
+  cfg.dir = dir_ / "live";
+  cfg.segment_bytes = 4096;
+  MmapStoreConfig snap_cfg = cfg;
+  snap_cfg.dir = dir_ / "snapshot";
+  MmapSampleStore store(cfg);
+  std::map<data::SampleId, std::vector<std::byte>> ref;
+  std::mt19937_64 rng(20'26);
+  const std::uint64_t recycled0 = recycled_segments();
+  for (int step = 0; step < 3'000; ++step) {
+    const auto id = static_cast<data::SampleId>(rng() % 64);
+    const auto roll = rng() % 100;
+    if (roll < 60) {
+      std::vector<std::byte> p(1 + static_cast<std::size_t>(step) / 8 +
+                               rng() % 32);
+      for (auto& b : p) b = static_cast<std::byte>(rng() & 0xFF);
+      store.save(id, p);
+      ref[id] = std::move(p);
+    } else if (roll < 85) {
+      if (ref.erase(id) != 0) store.remove(id);
+    } else {
+      store.advance_epoch();
+    }
+    fs::remove_all(snap_cfg.dir);
+    fs::copy(cfg.dir, snap_cfg.dir);
+    MmapSampleStore snapshot(snap_cfg);
+    ASSERT_EQ(snapshot.size(), ref.size()) << "step " << step;
+    for (const auto& [rid, payload] : ref) {
+      std::vector<std::byte> out;
+      snapshot.load_into(rid, out);
+      ASSERT_EQ(out, payload) << "step " << step << " id " << rid;
+    }
+  }
+  EXPECT_GT(recycled_segments(), recycled0) << "no dead segment was reused";
+}
+
 TEST_F(MmapStoreTest, WorksWithBothIndexBackends) {
   for (const auto kind :
        {SlotIndexKind::kOpenAddressing, SlotIndexKind::kLearned}) {
@@ -408,11 +579,15 @@ TEST_F(MmapStoreTest, WorksWithBothIndexBackends) {
 // release/acquire pairing; under plain builds it validates that a reader
 // NEVER observes bytes from a reclaimed or rewritten extent (every span
 // it sees must be internally consistent for SOME committed version).
-TEST_F(MmapStoreTest, ConcurrentReadersSurviveReclamationStorm) {
+// With 64 KiB segments the 16 KiB live set fits in one segment and no
+// dead segment is kept; with 4 KiB segments it spans five, so dead
+// segments are reused as spares under the readers.
+void run_reclamation_storm(const fs::path& dir, std::size_t segment_bytes) {
   MmapStoreConfig cfg;
-  cfg.dir = dir_;
-  cfg.segment_bytes = 16 * 4096;
+  cfg.dir = dir;
+  cfg.segment_bytes = segment_bytes;
   MmapSampleStore store(cfg);
+  const std::uint64_t recycled0 = recycled_segments();
   constexpr data::SampleId kIds = 64;
   constexpr std::size_t kLen = 256;
   // Version-stamped payloads: byte pattern is a pure function of
@@ -478,6 +653,18 @@ TEST_F(MmapStoreTest, ConcurrentReadersSurviveReclamationStorm) {
   store.advance_epoch();  // drain the last round's quarantine
   store.advance_epoch();
   EXPECT_EQ(store.quarantined_bytes(), 0U);
+  if (kIds * kLen > 2 * segment_bytes) {
+    EXPECT_GT(recycled_segments(), recycled0) << "no dead segment was reused";
+  }
+}
+
+TEST_F(MmapStoreTest, ConcurrentReadersSurviveReclamationStorm) {
+  for (const std::size_t segment_bytes : {std::size_t{16 * 4096},
+                                          std::size_t{4096}}) {
+    SCOPED_TRACE(segment_bytes);
+    run_reclamation_storm(dir_ / std::to_string(segment_bytes),
+                          segment_bytes);
+  }
 }
 
 }  // namespace
