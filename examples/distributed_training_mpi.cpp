@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
         model.zero_grad();
         const Tensor logits = model.forward(x, true);
         ce.forward(logits, y);
-        model.backward(ce.backward());
+        model.backward(ce.grad());
 
         // Gradient allreduce: sum over ranks, then average. All ranks
         // compute the identical sum (deterministic reduction), so the

@@ -80,6 +80,8 @@ void Conv1d::backward_into(const Tensor& grad_out, Tensor& grad_in) {
   grad_in.zero();
 
   if (kernel_backend() == KernelBackend::kReference) {
+    // The reference adds into dW and db one float term at a time in row
+    // order, so it needs no segment boundaries to match per-segment passes.
     kernel_ref::conv1d_backward_ref(
         cached_in_->data(), weight_.value.data(), grad_out.data(),
         grad_in.data(), weight_.grad.data(), bias_.grad.data(), N,
@@ -89,34 +91,39 @@ void Conv1d::backward_into(const Tensor& grad_out, Tensor& grad_in) {
 
   const std::size_t nl = N * length_;
   const std::size_t ck = in_channels_ * kernel_;
+  const std::size_t S = segment_len(N);
 
   // Gather dY into the GEMM layout, accumulating the bias gradient
-  // (db[oc] = sum over n, t of dY) on the way through.
+  // (db[oc] = sum over n, t of dY, one sum per segment) on the way through.
   Tensor& g_big = scratch(kGradBigSlot);
   g_big.resize2(out_channels_, nl);
   float* db = bias_.grad.data();
   for (std::size_t oc = 0; oc < out_channels_; ++oc) {
     float* dst = g_big.data() + oc * nl;
-    double bsum = 0.0;
-    for (std::size_t n = 0; n < N; ++n) {
-      const float* src =
-          grad_out.data() + n * out_channels_ * length_ + oc * length_;
-      float* d = dst + n * length_;
-      for (std::size_t t = 0; t < length_; ++t) {
-        d[t] = src[t];
-        bsum += src[t];
+    for (std::size_t n0 = 0; n0 < N; n0 += S) {
+      double bsum = 0.0;
+      for (std::size_t n = n0; n < n0 + S; ++n) {
+        const float* src =
+            grad_out.data() + n * out_channels_ * length_ + oc * length_;
+        float* d = dst + n * length_;
+        for (std::size_t t = 0; t < length_; ++t) {
+          d[t] = src[t];
+          bsum += src[t];
+        }
       }
+      db[oc] += static_cast<float>(bsum);
     }
-    db[oc] += static_cast<float>(bsum);
   }
 
   // dW += dY_big * cols^T — cols still holds this batch's im2col from the
-  // forward pass (backward-follows-forward contract).
+  // forward pass (backward-follows-forward contract). A segment's samples
+  // are S * L consecutive columns, i.e. one K segment of this GEMM.
   const Tensor& cols = scratch(kColsSlot);
   DSHUF_CHECK_EQ(cols.cols(), nl, "Conv1d backward without matching forward");
   kernel::gemm_blocked(g_big.data(), cols.data(), weight_.grad.data(),
                        out_channels_, ck, nl, /*a_transposed=*/false,
-                       /*b_transposed=*/true, /*accumulate=*/true);
+                       /*b_transposed=*/true, /*accumulate=*/true, {},
+                       /*k_segment=*/S * length_);
 
   // dcols = W^T * dY_big, then the adjoint scatter back to signal layout.
   Tensor& dcols = scratch(kDColsSlot);

@@ -6,9 +6,19 @@
 // input by reference — the input tensor must stay alive and unmodified
 // until backward completes; Model guarantees this by staging activations
 // in its workspace). Gradients ACCUMULATE across backward calls until
-// zero_grad() — this is what lets the simulator run M virtual workers'
-// backward passes against one shared model and end up with the summed
-// (then averaged) synchronous-SGD gradient.
+// zero_grad().
+//
+// Segments: a batch may be a stack of equal-length row segments (the
+// simulator stacks its M virtual workers' minibatches, one segment each).
+// Row-local math ignores them. Every reduction ACROSS rows — BatchNorm
+// statistics and running-stat updates, every parameter-gradient sum, the
+// loss mean — runs once per segment and accumulates in segment order, so
+// one pass over the stack is bit-identical to one pass per segment in
+// turn. set_segment_rows() records the length for the next forward and
+// the backward that follows it; Model::forward sets it on every layer.
+// Dropout is the exception: its mask draws follow row order across the
+// whole stack, so a stacked pass with p > 0 draws a different mask than
+// per-segment passes would (nothing trains with p > 0 that way).
 //
 // The _into entry points write results into caller-provided tensors whose
 // capacity is reused across iterations, so a steady-state training loop
@@ -66,6 +76,10 @@ class Layer {
     return grad_in;
   }
 
+  /// Rows per segment for the next forward and its backward; 0 = the
+  /// whole batch is one segment (see the header comment).
+  void set_segment_rows(std::size_t rows) { segment_rows_ = rows; }
+
   /// Parameters of this layer (possibly empty).
   virtual std::vector<Param*> params() { return {}; }
 
@@ -87,7 +101,17 @@ class Layer {
     return (ws_ != nullptr ? *ws_ : local_ws_).slot(this, id);
   }
 
+  /// Segment length for a batch of `rows` rows; checks that it divides.
+  [[nodiscard]] std::size_t segment_len(std::size_t rows) const {
+    if (segment_rows_ == 0) return rows;
+    DSHUF_CHECK_EQ(rows % segment_rows_, 0U,
+                   name() << ": " << rows << " rows do not split into "
+                          << segment_rows_ << "-row segments");
+    return segment_rows_;
+  }
+
  private:
+  std::size_t segment_rows_ = 0;
   Workspace* ws_ = nullptr;
   Workspace local_ws_;
 };

@@ -30,8 +30,10 @@ void Linear::backward_into(const Tensor& grad_out, Tensor& grad_in) {
   DSHUF_CHECK_EQ(grad_out.cols(), out_, "Linear grad feature mismatch");
   DSHUF_CHECK_EQ(grad_out.rows(), cached_in_->rows(),
                  "Linear grad batch mismatch");
-  // dW += X^T dY ; db += column-sum(dY) ; dX = dY W^T
-  gemm_at_b(*cached_in_, grad_out, weight_.grad, /*accumulate=*/true);
+  // dW += X^T dY, one sum per segment; db += column-sum(dY) in row order,
+  // which already adds segment after segment; dX = dY W^T (row-local).
+  gemm_at_b(*cached_in_, grad_out, weight_.grad, /*accumulate=*/true,
+            segment_len(grad_out.rows()));
   float* db = bias_.grad.data();
   for (std::size_t i = 0; i < grad_out.rows(); ++i) {
     const float* row = grad_out.data() + i * out_;
@@ -49,7 +51,8 @@ void ReLU::forward_into(const Tensor& x, Tensor& y, bool /*training*/) {
   const float* px = x.data();
   float* py = y.data();
   for (std::size_t i = 0; i < x.size(); ++i) {
-    py[i] = px[i] > 0.0F ? px[i] : 0.0F;
+    const float v = px[i];
+    py[i] = v > 0.0F ? v : 0.0F;
   }
 }
 
@@ -61,8 +64,12 @@ void ReLU::backward_into(const Tensor& grad_out, Tensor& grad_in) {
   const float* x = cached_in_->data();
   const float* go = grad_out.data();
   float* g = grad_in.data();
+  // Load unconditionally, then select: the loop becomes a vector blend
+  // rather than a branch. (A multiply by a 0/1 mask would not keep the
+  // bits: -3 * 0 is -0, and NaN * 0 is NaN.)
   for (std::size_t i = 0; i < grad_in.size(); ++i) {
-    g[i] = x[i] > 0.0F ? go[i] : 0.0F;
+    const float v = go[i];
+    g[i] = x[i] > 0.0F ? v : 0.0F;
   }
 }
 

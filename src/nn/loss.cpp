@@ -8,15 +8,22 @@
 namespace dshuf::nn {
 
 float SoftmaxCrossEntropy::forward(const Tensor& logits,
-                                   const std::vector<std::uint32_t>& labels) {
+                                   const std::vector<std::uint32_t>& labels,
+                                   std::size_t segment_rows) {
   DSHUF_CHECK_EQ(logits.rows(), labels.size(),
                  "labels must match logits batch size");
   const std::size_t N = logits.rows();
   const std::size_t C = logits.cols();
+  const std::size_t S = segment_rows == 0 ? N : segment_rows;
+  DSHUF_CHECK(S == 0 || N % S == 0,
+              N << " rows do not split into " << S << "-row segments");
+  segment_rows_ = S;
   probs_.resize2(N, C);
   labels_.assign(labels.begin(), labels.end());
   sample_losses_.assign(N, 0.0F);
+  segment_losses_.clear();
   double total = 0.0;
+  double segment_total = 0.0;
   for (std::size_t i = 0; i < N; ++i) {
     DSHUF_CHECK_LT(labels[i], C, "label out of class range");
     const float* row = logits.data() + i * C;
@@ -35,22 +42,14 @@ float SoftmaxCrossEntropy::forward(const Tensor& logits,
         static_cast<double>(row[labels[i]] - mx) - std::log(denom);
     sample_losses_[i] = static_cast<float>(-logp);
     total -= logp;
+    segment_total -= logp;
+    if ((i + 1) % S == 0) {
+      segment_losses_.push_back(
+          static_cast<float>(segment_total / static_cast<double>(S)));
+      segment_total = 0.0;
+    }
   }
   return static_cast<float>(total / static_cast<double>(N));
-}
-
-Tensor SoftmaxCrossEntropy::backward() const {
-  DSHUF_CHECK(!probs_.empty(), "backward() before forward()");
-  const std::size_t N = probs_.rows();
-  const std::size_t C = probs_.cols();
-  Tensor grad = probs_;
-  const auto inv_n = 1.0F / static_cast<float>(N);
-  for (std::size_t i = 0; i < N; ++i) {
-    float* row = grad.data() + i * C;
-    row[labels_[i]] -= 1.0F;
-    for (std::size_t j = 0; j < C; ++j) row[j] *= inv_n;
-  }
-  return grad;
 }
 
 const Tensor& SoftmaxCrossEntropy::grad() {
@@ -58,7 +57,7 @@ const Tensor& SoftmaxCrossEntropy::grad() {
   copy_into(probs_, grad_);
   const std::size_t N = grad_.rows();
   const std::size_t C = grad_.cols();
-  const auto inv_n = 1.0F / static_cast<float>(N);
+  const auto inv_n = 1.0F / static_cast<float>(segment_rows_);
   for (std::size_t i = 0; i < N; ++i) {
     float* row = grad_.data() + i * C;
     row[labels_[i]] -= 1.0F;

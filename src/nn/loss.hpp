@@ -8,21 +8,27 @@
 
 namespace dshuf::nn {
 
-/// Combined softmax + cross-entropy. forward() returns the mean loss over
-/// the batch; backward() returns dLoss/dLogits for that same batch (mean
-/// reduction, i.e. already divided by the batch size).
+/// Combined softmax + cross-entropy with mean reduction. The batch may be
+/// a stack of equal row segments (nn/layer.hpp): each segment's loss is
+/// its own mean, and the gradient of each row is scaled by 1/segment
+/// length, so a stacked pass gives the bits of one pass per segment.
 class SoftmaxCrossEntropy {
  public:
-  /// logits: [N, C]; labels: N class indices < C.
-  float forward(const Tensor& logits, const std::vector<std::uint32_t>& labels);
+  /// logits: [N, C]; labels: N class indices < C; segment_rows divides N
+  /// (0 = one segment). Returns the mean loss over all N rows.
+  float forward(const Tensor& logits, const std::vector<std::uint32_t>& labels,
+                std::size_t segment_rows = 0);
 
-  /// Gradient of the mean loss w.r.t. the logits passed to the last forward.
-  [[nodiscard]] Tensor backward() const;
-
-  /// Allocation-free variant of backward(): computes into a member tensor
-  /// whose capacity is reused. The reference stays valid until the next
-  /// grad() call; the training hot path uses this.
+  /// Gradient of the loss w.r.t. the logits passed to the last forward:
+  /// each segment's mean, i.e. already divided by the segment length.
+  /// Computed into a member tensor whose capacity is reused; the
+  /// reference stays valid until the next grad() call.
   [[nodiscard]] const Tensor& grad();
+
+  /// Mean loss of each segment of the last forward, in segment order.
+  [[nodiscard]] const std::vector<float>& segment_losses() const {
+    return segment_losses_;
+  }
 
   /// Softmax probabilities from the last forward ([N, C]).
   [[nodiscard]] const Tensor& probs() const { return probs_; }
@@ -38,6 +44,8 @@ class SoftmaxCrossEntropy {
   Tensor grad_;
   std::vector<std::uint32_t> labels_;
   std::vector<float> sample_losses_;
+  std::vector<float> segment_losses_;
+  std::size_t segment_rows_ = 0;
 };
 
 }  // namespace dshuf::nn

@@ -35,13 +35,15 @@ Model& Model::add(LayerPtr layer) {
   return *this;
 }
 
-const Tensor& Model::forward(const Tensor& x, bool training) {
+const Tensor& Model::forward(const Tensor& x, bool training,
+                             std::size_t segment_rows) {
   // Stage the input in slot 0 so every layer's cached input pointer
   // refers to model-owned storage that outlives the backward pass.
   copy_into(x, ws_.slot(nullptr, 0));
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     const Tensor& in = ws_.slot(nullptr, static_cast<int>(i));
     Tensor& out = ws_.slot(nullptr, static_cast<int>(i) + 1);
+    layers_[i]->set_segment_rows(segment_rows);
     layers_[i]->forward_into(in, out, training);
   }
   return ws_.slot(nullptr, static_cast<int>(layers_.size()));

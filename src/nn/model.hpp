@@ -36,9 +36,13 @@ class Model {
 
   /// Forward through all layers. The returned reference points into the
   /// model's workspace and stays valid until the next forward() call.
-  const Tensor& forward(const Tensor& x, bool training);
+  /// segment_rows splits the batch into equal row segments whose
+  /// cross-row reductions stay separate (layer.hpp); 0 = one segment.
+  const Tensor& forward(const Tensor& x, bool training,
+                        std::size_t segment_rows = 0);
 
-  /// Backward through all layers from dLoss/dOutput; accumulates gradients.
+  /// Backward through all layers from dLoss/dOutput, over the segments of
+  /// the last forward; accumulates gradients.
   void backward(const Tensor& grad_out);
 
   /// All trainable parameters in layer order (fresh copy of the cached
@@ -53,7 +57,7 @@ class Model {
   void zero_grad();
 
   /// Multiply all gradients by `factor` (e.g. 1/M after summing M workers'
-  /// backward passes — the "gradient averaging" of synchronous SGD).
+  /// segments — the "gradient averaging" of synchronous SGD).
   void scale_grad(float factor);
 
   /// Total number of scalar parameters.

@@ -1,8 +1,88 @@
 #include "nn/norm.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace dshuf::nn {
+
+namespace {
+
+// BatchNorm kernels over one segment of S rows x C columns. Rows are the
+// outer loop, so the work across columns vectorises, and each column
+// keeps its ascending-row chain. No two pointers alias; __restrict says
+// so, without which g++ leaves the many-operand loops scalar.
+
+/// sum[j] += x[i][j] over the segment's rows, in row order.
+void add_column_sums(const float* __restrict x, std::size_t S, std::size_t C,
+                     double* __restrict sum) {
+  for (std::size_t i = 0; i < S; ++i) {
+    const float* row = x + i * C;
+    for (std::size_t j = 0; j < C; ++j) sum[j] += row[j];
+  }
+}
+
+/// ss[j] += (x[i][j] - mean[j])^2, the difference taken in float and then
+/// widened, in row order.
+void add_column_sq_devs(const float* __restrict x,
+                        const float* __restrict mean, std::size_t S,
+                        std::size_t C, double* __restrict ss) {
+  for (std::size_t i = 0; i < S; ++i) {
+    const float* row = x + i * C;
+    for (std::size_t j = 0; j < C; ++j) {
+      const double d = row[j] - mean[j];
+      ss[j] += d * d;
+    }
+  }
+}
+
+void normalise(const float* __restrict x, const float* __restrict mean,
+               const float* __restrict inv_std, const float* __restrict g,
+               const float* __restrict b, std::size_t S, std::size_t C,
+               float* __restrict xhat, float* __restrict y) {
+  for (std::size_t i = 0; i < S; ++i) {
+    const float* row = x + i * C;
+    float* xh_row = xhat + i * C;
+    float* out = y + i * C;
+    for (std::size_t j = 0; j < C; ++j) {
+      const float xh = (row[j] - mean[j]) * inv_std[j];
+      xh_row[j] = xh;
+      out[j] = g[j] * xh + b[j];
+    }
+  }
+}
+
+/// sum_dy[j] += dy, sum_dy_xhat[j] += dy * xhat, in row order.
+void add_grad_sums(const float* __restrict dy, const float* __restrict xhat,
+                   std::size_t S, std::size_t C,
+                   double* __restrict sum_dy, double* __restrict sum_dy_xhat) {
+  for (std::size_t i = 0; i < S; ++i) {
+    const float* dy_row = dy + i * C;
+    const float* xh_row = xhat + i * C;
+    for (std::size_t j = 0; j < C; ++j) {
+      sum_dy[j] += dy_row[j];
+      sum_dy_xhat[j] += static_cast<double>(dy_row[j]) * xh_row[j];
+    }
+  }
+}
+
+/// Standard BN backward:
+/// dx = g*inv_std*(dy - mean(dy) - xhat*mean(dy*xhat)).
+void grad_input(const float* __restrict dy, const float* __restrict xhat,
+                const float* __restrict g, const float* __restrict inv_std,
+                const float* __restrict mdy, const float* __restrict mdyx,
+                std::size_t S, std::size_t C, float* __restrict dx) {
+  for (std::size_t i = 0; i < S; ++i) {
+    const float* dy_row = dy + i * C;
+    const float* xh_row = xhat + i * C;
+    float* dx_row = dx + i * C;
+    for (std::size_t j = 0; j < C; ++j) {
+      dx_row[j] =
+          g[j] * inv_std[j] * (dy_row[j] - mdy[j] - xh_row[j] * mdyx[j]);
+    }
+  }
+}
+
+}  // namespace
 
 BatchNorm1d::BatchNorm1d(std::size_t features, float momentum, float eps)
     : features_(features),
@@ -11,57 +91,62 @@ BatchNorm1d::BatchNorm1d(std::size_t features, float momentum, float eps)
       gamma_("bn.gamma", Tensor::full({features}, 1.0F), /*decay=*/false),
       beta_("bn.beta", Tensor({features}), /*decay=*/false),
       running_mean_({features}),
-      running_var_(Tensor::full({features}, 1.0F)) {}
+      running_var_(Tensor::full({features}, 1.0F)),
+      sum_(features),
+      sum2_(features),
+      col_(features),
+      col2_(features) {}
 
 void BatchNorm1d::forward_into(const Tensor& x, Tensor& y, bool training) {
   DSHUF_CHECK_EQ(x.cols(), features_, "BatchNorm feature mismatch");
   const std::size_t N = x.rows();
   const std::size_t C = features_;
+  const std::size_t S = segment_len(N);
+  if (training) {
+    DSHUF_CHECK_GT(S, 1U,
+                   "BatchNorm training needs more than one row per segment");
+  }
+  const std::size_t segments = S == 0 ? 0 : N / S;
   y.resize2(N, C);
   Tensor& xhat = scratch(kXhatSlot);
   xhat.resize2(N, C);
   Tensor& inv_std_t = scratch(kInvStdSlot);
-  inv_std_t.resize1(C);
+  inv_std_t.resize2(segments, C);
   cached_batch_ = N;
 
-  const float* px = x.data();
-  float* pxh = xhat.data();
-  float* po = y.data();
-  const float* g = gamma_.value.data();
-  const float* b = beta_.value.data();
+  float* rm = running_mean_.data();
+  float* rv = running_var_.data();
+  double* sum = sum_.data();
+  float* mean = col_.data();
+  const auto n = static_cast<double>(S);
 
-  for (std::size_t j = 0; j < C; ++j) {
-    float mean;
-    float var;
+  for (std::size_t seg = 0; seg < segments; ++seg) {
+    const float* px = x.data() + seg * S * C;
+    float* inv_std = inv_std_t.data() + seg * C;
     if (training) {
-      DSHUF_CHECK_GT(N, 1U, "BatchNorm training needs batch size > 1");
-      double sum = 0.0;
-      for (std::size_t i = 0; i < N; ++i) sum += px[i * C + j];
-      mean = static_cast<float>(sum / static_cast<double>(N));
-      double ss = 0.0;
-      for (std::size_t i = 0; i < N; ++i) {
-        const double d = px[i * C + j] - mean;
-        ss += d * d;
+      std::fill(sum_.begin(), sum_.end(), 0.0);
+      add_column_sums(px, S, C, sum);
+      for (std::size_t j = 0; j < C; ++j) {
+        mean[j] = static_cast<float>(sum[j] / n);
       }
-      var = static_cast<float>(ss / static_cast<double>(N));  // biased
-      // PyTorch-style running update (uses unbiased variance).
-      const float unbiased =
-          static_cast<float>(ss / static_cast<double>(N - 1));
-      running_mean_.vec()[j] =
-          (1.0F - momentum_) * running_mean_.vec()[j] + momentum_ * mean;
-      running_var_.vec()[j] =
-          (1.0F - momentum_) * running_var_.vec()[j] + momentum_ * unbiased;
+      std::fill(sum_.begin(), sum_.end(), 0.0);
+      add_column_sq_devs(px, mean, S, C, sum);
+      for (std::size_t j = 0; j < C; ++j) {
+        const auto var = static_cast<float>(sum[j] / n);  // biased
+        // PyTorch-style running update (uses unbiased variance).
+        const auto unbiased = static_cast<float>(sum[j] / (n - 1.0));
+        rm[j] = (1.0F - momentum_) * rm[j] + momentum_ * mean[j];
+        rv[j] = (1.0F - momentum_) * rv[j] + momentum_ * unbiased;
+        inv_std[j] = 1.0F / std::sqrt(var + eps_);
+      }
     } else {
-      mean = running_mean_.vec()[j];
-      var = running_var_.vec()[j];
+      for (std::size_t j = 0; j < C; ++j) {
+        mean[j] = rm[j];
+        inv_std[j] = 1.0F / std::sqrt(rv[j] + eps_);
+      }
     }
-    const float inv_std = 1.0F / std::sqrt(var + eps_);
-    inv_std_t.vec()[j] = inv_std;
-    for (std::size_t i = 0; i < N; ++i) {
-      const float xh = (px[i * C + j] - mean) * inv_std;
-      pxh[i * C + j] = xh;
-      po[i * C + j] = g[j] * xh + b[j];
-    }
+    normalise(px, mean, inv_std, gamma_.value.data(), beta_.value.data(), S,
+              C, xhat.data() + seg * S * C, y.data() + seg * S * C);
   }
 }
 
@@ -74,31 +159,30 @@ void BatchNorm1d::backward_into(const Tensor& grad_out, Tensor& grad_in) {
   const Tensor& xhat = scratch(kXhatSlot);
   const Tensor& inv_std_t = scratch(kInvStdSlot);
   DSHUF_CHECK_EQ(xhat.size(), N * C, "BatchNorm backward before forward");
-  const float* dy = grad_out.data();
-  const float* xh = xhat.data();
-  float* dx = grad_in.data();
-  const float* g = gamma_.value.data();
+  const std::size_t segments = inv_std_t.rows();
+  const std::size_t S = segments == 0 ? 0 : N / segments;
   float* dg = gamma_.grad.data();
   float* db = beta_.grad.data();
-  const auto n = static_cast<float>(N);
+  double* sum_dy = sum_.data();
+  double* sum_dy_xhat = sum2_.data();
+  float* mdy = col_.data();
+  float* mdyx = col2_.data();
+  const auto n = static_cast<float>(S);
 
-  for (std::size_t j = 0; j < C; ++j) {
-    double sum_dy = 0.0;
-    double sum_dy_xhat = 0.0;
-    for (std::size_t i = 0; i < N; ++i) {
-      sum_dy += dy[i * C + j];
-      sum_dy_xhat += static_cast<double>(dy[i * C + j]) * xh[i * C + j];
+  for (std::size_t seg = 0; seg < segments; ++seg) {
+    const float* dy = grad_out.data() + seg * S * C;
+    const float* xh = xhat.data() + seg * S * C;
+    std::fill(sum_.begin(), sum_.end(), 0.0);
+    std::fill(sum2_.begin(), sum2_.end(), 0.0);
+    add_grad_sums(dy, xh, S, C, sum_dy, sum_dy_xhat);
+    for (std::size_t j = 0; j < C; ++j) {
+      dg[j] += static_cast<float>(sum_dy_xhat[j]);
+      db[j] += static_cast<float>(sum_dy[j]);
+      mdy[j] = static_cast<float>(sum_dy[j] / n);
+      mdyx[j] = static_cast<float>(sum_dy_xhat[j] / n);
     }
-    dg[j] += static_cast<float>(sum_dy_xhat);
-    db[j] += static_cast<float>(sum_dy);
-    const float inv_std = inv_std_t.vec()[j];
-    const auto mdy = static_cast<float>(sum_dy / n);
-    const auto mdyx = static_cast<float>(sum_dy_xhat / n);
-    for (std::size_t i = 0; i < N; ++i) {
-      // Standard BN backward: dx = g*inv_std*(dy - mean(dy) - xhat*mean(dy*xhat))
-      dx[i * C + j] =
-          g[j] * inv_std * (dy[i * C + j] - mdy - xh[i * C + j] * mdyx);
-    }
+    grad_input(dy, xh, gamma_.value.data(), inv_std_t.data() + seg * C, mdy,
+               mdyx, S, C, grad_in.data() + seg * S * C);
   }
 }
 
@@ -174,15 +258,19 @@ void GroupNorm::backward_into(const Tensor& grad_out, Tensor& grad_in) {
   float* dg = gamma_.grad.data();
   float* db = beta_.grad.data();
 
-  for (std::size_t c = 0; c < C; ++c) {
-    double sdg = 0.0;
-    double sdb = 0.0;
-    for (std::size_t i = 0; i < N; ++i) {
-      sdg += static_cast<double>(dy[i * C + c]) * xh[i * C + c];
-      sdb += dy[i * C + c];
+  // dgamma/dbeta: one column sum per segment, added in segment order.
+  const std::size_t S = segment_len(N);
+  for (std::size_t r0 = 0; r0 < N; r0 += S) {
+    for (std::size_t c = 0; c < C; ++c) {
+      double sdg = 0.0;
+      double sdb = 0.0;
+      for (std::size_t i = r0; i < r0 + S; ++i) {
+        sdg += static_cast<double>(dy[i * C + c]) * xh[i * C + c];
+        sdb += dy[i * C + c];
+      }
+      dg[c] += static_cast<float>(sdg);
+      db[c] += static_cast<float>(sdb);
     }
-    dg[c] += static_cast<float>(sdg);
-    db[c] += static_cast<float>(sdb);
   }
 
   const auto gs = static_cast<float>(GS);

@@ -3,18 +3,25 @@
 // BatchNorm1d is the load-bearing layer for this reproduction: the paper
 // (Section IV-A-1) attributes local shuffling's accuracy gap largely to
 // batch statistics being computed on each worker's (possibly class-skewed,
-// small) local minibatch. Because the simulator runs each virtual worker's
-// forward/backward separately against the shared model, BatchNorm batch
-// statistics are naturally per-worker — exactly like unsynchronised BN in
-// DDP. GroupNorm is provided as the paper's suggested batch-independent
-// alternative for the ablation study.
+// small) local minibatch. The simulator stacks its virtual workers'
+// minibatches into one pass, one row segment per worker (layer.hpp), and
+// BatchNorm takes its batch statistics, running-stat updates and
+// gradient sums per segment, in worker order — per-worker statistics,
+// exactly like unsynchronised BN in DDP, and the same bits as one pass
+// per worker. GroupNorm is provided as the paper's suggested
+// batch-independent alternative for the ablation study.
+//
+// Both walk rows in the outer loop and columns in the inner one, so the
+// per-column work vectorises while each column keeps its ascending-row
+// double accumulator chain.
 #pragma once
 
 #include "nn/layer.hpp"
 
 namespace dshuf::nn {
 
-/// 1-D batch normalisation over the batch dimension of an [N, C] input.
+/// 1-D batch normalisation over the batch dimension of an [N, C] input
+/// (per segment; training needs at least two rows per segment).
 class BatchNorm1d : public Layer {
  public:
   explicit BatchNorm1d(std::size_t features, float momentum = 0.1F,
@@ -36,7 +43,7 @@ class BatchNorm1d : public Layer {
  private:
   // Scratch slots for the forward caches backward reads.
   static constexpr int kXhatSlot = 0;     // [N, C]
-  static constexpr int kInvStdSlot = 1;   // [C]
+  static constexpr int kInvStdSlot = 1;   // [segments, C]
 
   std::size_t features_;
   float momentum_;
@@ -46,6 +53,12 @@ class BatchNorm1d : public Layer {
   Tensor running_mean_;
   Tensor running_var_;
   std::size_t cached_batch_ = 0;
+  // Per-column accumulators and factors, sized C once, so steady-state
+  // passes allocate nothing.
+  std::vector<double> sum_;
+  std::vector<double> sum2_;
+  std::vector<float> col_;
+  std::vector<float> col2_;
 };
 
 /// Group normalisation over an [N, C] input with G groups of C/G channels.

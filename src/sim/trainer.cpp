@@ -155,6 +155,20 @@ SimResult train_model(nn::Model& model, const data::InMemoryDataset& train,
                    : shuffler->local_order(static_cast<int>(w));
   };
 
+  // Each worker's b rows form one segment of the stacked batch, so batch
+  // statistics and gradient sums stay per worker (nn/layer.hpp). Sync-BN
+  // (the paper's suggested BN remedy, Section IV-A-1) is the same loop
+  // with the whole M*b stack as one segment: global batch statistics and
+  // one mean over the global batch, the same averaged gradient.
+  const std::size_t segment = config.sync_batchnorm ? M * b : b;
+  // Batch staging buffers outlive the epochs: after the first iteration
+  // every gather reuses their capacity, so the steady state of the
+  // training loop is allocation-free.
+  std::vector<data::SampleId> ids;
+  ids.reserve(M * b);
+  Tensor xbuf;
+  std::vector<std::uint32_t> ybuf;
+
   ExchInfo cur_info;
   ExchInfo next_info;
   if (overlap) {
@@ -213,53 +227,30 @@ SimResult train_model(nn::Model& model, const data::InMemoryDataset& train,
     }
     double loss_sum = 0;
     std::size_t loss_count = 0;
-    // Batch staging buffers live outside the loops: after the first
-    // iteration every gather reuses their capacity, so the steady state
-    // of the training loop is allocation-free.
-    Tensor xbuf;
-    std::vector<std::uint32_t> ybuf;
-    std::vector<data::SampleId> fused;
     for (std::size_t it = 0; it < iters; ++it) {
       const double frac_epoch =
           static_cast<double>(epoch) +
           static_cast<double>(it) / static_cast<double>(iters);
       opt.set_lr(schedule.lr_at(frac_epoch));
       model.zero_grad();
-
-      if (config.sync_batchnorm) {
-        // Fused global batch: identical averaged gradient, global batch
-        // statistics (the paper's suggested BN remedy, Section IV-A-1).
-        fused.clear();
-        fused.reserve(M * b);
-        for (std::size_t w = 0; w < M; ++w) {
-          const auto& order = order_of(w);
-          fused.insert(fused.end(), order.begin() + static_cast<std::ptrdiff_t>(it * b),
-                       order.begin() + static_cast<std::ptrdiff_t>((it + 1) * b));
-        }
-        train.gather_into(fused, xbuf);
-        train.gather_labels_into(fused, ybuf);
-        const Tensor& logits = model.forward(xbuf, /*training=*/true);
-        loss_sum += ce.forward(logits, ybuf);
-        ++loss_count;
-        if (track_losses) update_ema(fused, ce.per_sample_losses());
-        model.backward(ce.grad());
-        // Mean over the fused M*b batch == average of per-worker means.
-      } else {
-        for (std::size_t w = 0; w < M; ++w) {
-          const auto& order = order_of(w);
-          const std::span<const data::SampleId> batch(order.data() + it * b,
-                                                      b);
-          train.gather_into(batch, xbuf);
-          train.gather_labels_into(batch, ybuf);
-          const Tensor& logits = model.forward(xbuf, /*training=*/true);
-          loss_sum += ce.forward(logits, ybuf);
-          ++loss_count;
-          if (track_losses) update_ema(batch, ce.per_sample_losses());
-          model.backward(ce.grad());
-        }
-        // Gradient-averaging allreduce.
-        model.scale_grad(1.0F / static_cast<float>(M));
+      // All M workers' minibatches as one stack, in worker order.
+      ids.clear();
+      for (std::size_t w = 0; w < M; ++w) {
+        const auto first = order_of(w).begin() +
+                           static_cast<std::ptrdiff_t>(it * b);
+        ids.insert(ids.end(), first, first + static_cast<std::ptrdiff_t>(b));
       }
+      train.gather_into(ids, xbuf);
+      train.gather_labels_into(ids, ybuf);
+      const Tensor& logits = model.forward(xbuf, /*training=*/true, segment);
+      ce.forward(logits, ybuf, segment);
+      for (const float l : ce.segment_losses()) loss_sum += l;
+      loss_count += ce.segment_losses().size();
+      if (track_losses) update_ema(ids, ce.per_sample_losses());
+      model.backward(ce.grad());
+      // Gradient-averaging allreduce over the segments' summed gradients
+      // (a factor of exactly 1 under sync-BN's single segment).
+      model.scale_grad(1.0F / static_cast<float>(M * b / segment));
       opt.step();
     }
     compute_span.finish();

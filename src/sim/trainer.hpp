@@ -1,14 +1,19 @@
 // Synchronous-SGD distributed training simulator.
 //
-// Executes M virtual workers against one shared model. Each iteration,
-// every worker runs forward/backward on its own local minibatch (so
-// BatchNorm statistics are per-worker, exactly like unsynchronised BN in
-// DDP), the accumulated gradient is divided by M (the gradient-averaging
-// allreduce), and one optimiser step is applied. Because synchronous SGD
-// is barrier-deterministic, this sequential execution computes exactly
-// what an M-rank data-parallel run of the same seeds would compute —
-// which is what lets a single core stand in for the paper's 2,048-GPU
-// experiments (accuracy-wise; wall-clock is dshuf::perf's job).
+// Executes M virtual workers against one shared model. Each iteration
+// stacks the M workers' local minibatches, in worker order, into one
+// forward/backward pass in which each worker's b rows are one segment
+// (nn/layer.hpp): BatchNorm statistics, running-stat updates, gradient
+// sums and loss means are taken per segment in worker order, so
+// statistics are per-worker, exactly like unsynchronised BN in DDP, and
+// the bits equal one pass per worker in turn (tests/test_trainer_oracle
+// keeps that per-worker loop as the oracle). The summed gradient is
+// divided by M (the gradient-averaging allreduce), and one optimiser step
+// is applied. Because synchronous SGD is barrier-deterministic, this
+// computes exactly what an M-rank data-parallel run of the same seeds
+// would compute — which is what lets a single core stand in for the
+// paper's 2,048-GPU experiments (accuracy-wise; wall-clock is
+// dshuf::perf's job).
 #pragma once
 
 #include <cstdint>
@@ -47,9 +52,9 @@ struct SimConfig {
   /// Section IV-B importance-sampling extension.
   shuffle::PickPolicy pick_policy = shuffle::PickPolicy::kUniform;
   std::uint64_t seed = 123;
-  /// Ablation: synchronise BatchNorm statistics across workers by running
-  /// one fused global-batch forward/backward (mathematically identical
-  /// gradient; batch stats become global).
+  /// Ablation: synchronise BatchNorm statistics across workers by making
+  /// the whole M*b stack one segment (mathematically identical gradient;
+  /// batch stats become global).
   bool sync_batchnorm = false;
   /// Overlap each epoch's exchange with the PREVIOUS epoch's compute:
   /// epoch e+1's begin_epoch runs as a task-scheduler comm task while

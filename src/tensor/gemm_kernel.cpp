@@ -99,9 +99,9 @@ thread_local std::vector<float> t_a_pack;
 /// grid against the caller-packed B panel `bp`. Chunks own disjoint C
 /// rows, so this is the unit parallel_for fans out.
 void run_m_blocks(const float* a, const float* bp, float* c, std::size_t m,
-                  std::size_t n, std::size_t k, bool a_transposed,
-                  bool accumulate, std::size_t jc, std::size_t nb,
-                  std::size_t mc_eff, std::size_t blk_begin,
+                  std::size_t n, std::size_t k, std::size_t k_seg,
+                  bool a_transposed, bool accumulate, std::size_t jc,
+                  std::size_t nb, std::size_t mc_eff, std::size_t blk_begin,
                   std::size_t blk_end) {
   std::vector<float>& a_pack = t_a_pack;
   alignas(64) float acc[kMR * kNR];
@@ -115,15 +115,21 @@ void run_m_blocks(const float* a, const float* bp, float* c, std::size_t m,
       const std::size_t jw = std::min(kNR, nb - j0);
       for (std::size_t i0 = 0; i0 < mb; i0 += kMR) {
         const std::size_t iw = std::min(kMR, mb - i0);
-        micro_kernel(k, a_pack.data() + i0 * k, bp + j0 * k, acc);
-        // Merge the tile, dropping zero-padded edge lanes.
-        for (std::size_t r = 0; r < iw; ++r) {
-          float* crow = c + (ic + i0 + r) * n + jc + j0;
-          const float* arow = acc + r * kNR;
-          if (accumulate) {
-            for (std::size_t j = 0; j < jw; ++j) crow[j] += arow[j];
-          } else {
-            for (std::size_t j = 0; j < jw; ++j) crow[j] = arow[j];
+        // One chain per K segment, each merged into C in segment order.
+        // Packed panels are k-major, so a segment is a contiguous slice.
+        for (std::size_t k0 = 0; k0 < k; k0 += k_seg) {
+          const std::size_t kw = std::min(k_seg, k - k0);
+          micro_kernel(kw, a_pack.data() + i0 * k + k0 * kMR,
+                       bp + j0 * k + k0 * kNR, acc);
+          // Merge the tile, dropping zero-padded edge lanes.
+          for (std::size_t r = 0; r < iw; ++r) {
+            float* crow = c + (ic + i0 + r) * n + jc + j0;
+            const float* arow = acc + r * kNR;
+            if (accumulate || k0 > 0) {
+              for (std::size_t j = 0; j < jw; ++j) crow[j] += arow[j];
+            } else {
+              for (std::size_t j = 0; j < jw; ++j) crow[j] = arow[j];
+            }
           }
         }
       }
@@ -136,7 +142,7 @@ void run_m_blocks(const float* a, const float* bp, float* c, std::size_t m,
 void gemm_blocked(const float* a, const float* b, float* c, std::size_t m,
                   std::size_t n, std::size_t k, bool a_transposed,
                   bool b_transposed, bool accumulate,
-                  const BlockConfig& cfg) {
+                  const BlockConfig& cfg, std::size_t k_segment) {
   DSHUF_CHECK_GT(cfg.mc, 0U, "block config mc must be positive");
   DSHUF_CHECK_GT(cfg.nc, 0U, "block config nc must be positive");
   if (m == 0 || n == 0) return;
@@ -166,6 +172,7 @@ void gemm_blocked(const float* a, const float* b, float* c, std::size_t m,
     mc_eff = std::clamp(round_up(target, kMR), kMR, cfg.mc);
   }
   const std::size_t m_blocks = (m + mc_eff - 1) / mc_eff;
+  const std::size_t k_seg = k_segment == 0 ? k : std::min(k_segment, k);
 
   for (std::size_t jc = 0; jc < n; jc += cfg.nc) {
     const std::size_t nb = std::min(cfg.nc, n - jc);
@@ -174,8 +181,8 @@ void gemm_blocked(const float* a, const float* b, float* c, std::size_t m,
     const float* const bp = b_pack.data();
 
     const auto body = [&](std::size_t blk_begin, std::size_t blk_end) {
-      run_m_blocks(a, bp, c, m, n, k, a_transposed, accumulate, jc, nb,
-                   mc_eff, blk_begin, blk_end);
+      run_m_blocks(a, bp, c, m, n, k, k_seg, a_transposed, accumulate, jc,
+                   nb, mc_eff, blk_begin, blk_end);
     };
     if (parallel && m_blocks > 1) {
       sched->parallel_for(0, m_blocks, 1, body);

@@ -7,8 +7,9 @@
 // micro-panels first so the micro-kernel streams both with unit stride.
 //
 // Determinism contract: every output element is produced by a single
-// accumulator chain over k = 0..K-1 in ascending order, with zero-padded
-// edge lanes never stored — so results are bit-identical across runs AND
+// accumulator chain over k = 0..K-1 in ascending order (one chain per K
+// segment when the caller asks for segments), with zero-padded edge lanes
+// never stored — so results are bit-identical across runs AND
 // independent of the cache-block configuration (mc, nc). There is
 // deliberately no K-blocking: carrying partial sums through C between K
 // panels would make the rounding order depend on the block size.
@@ -54,9 +55,16 @@ struct BlockConfig {
 /// gemm_at_b weight-gradient case). b_transposed: b is stored N x K and
 /// used as its transpose (the gemm_a_bt input-gradient case). Plain
 /// row-major storage otherwise. Pointers must not alias.
+///
+/// k_segment > 0 splits K into consecutive segments of that length (the
+/// last may be shorter): each output element gets one ascending chain per
+/// segment, added into c in segment order — bit for bit what one
+/// accumulate call per segment would give, without copying the segments
+/// out. This is how a weight gradient over a stack of per-worker batches
+/// keeps each worker's sum separate. 0 means one segment.
 void gemm_blocked(const float* a, const float* b, float* c, std::size_t m,
                   std::size_t n, std::size_t k, bool a_transposed,
                   bool b_transposed, bool accumulate,
-                  const BlockConfig& cfg = {});
+                  const BlockConfig& cfg = {}, std::size_t k_segment = 0);
 
 }  // namespace dshuf::kernel

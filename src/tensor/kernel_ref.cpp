@@ -1,23 +1,27 @@
 #include "tensor/kernel_ref.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace dshuf::kernel_ref {
 
 void gemm_ref(const float* a, const float* b, float* c, std::size_t m,
               std::size_t n, std::size_t k, bool a_transposed,
-              bool b_transposed, bool accumulate) {
+              bool b_transposed, bool accumulate, std::size_t k_segment) {
   if (!accumulate && m * n > 0) std::memset(c, 0, m * n * sizeof(float));
+  const std::size_t k_seg = k_segment == 0 ? k : k_segment;
   for (std::size_t i = 0; i < m; ++i) {
     float* crow = c + i * n;
     for (std::size_t j = 0; j < n; ++j) {
-      float acc = 0.0F;
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        const float av = a_transposed ? a[kk * m + i] : a[i * k + kk];
-        const float bv = b_transposed ? b[j * k + kk] : b[kk * n + j];
-        acc += av * bv;
+      for (std::size_t k0 = 0; k0 < k; k0 += k_seg) {
+        float acc = 0.0F;
+        for (std::size_t kk = k0; kk < std::min(k, k0 + k_seg); ++kk) {
+          const float av = a_transposed ? a[kk * m + i] : a[i * k + kk];
+          const float bv = b_transposed ? b[j * k + kk] : b[kk * n + j];
+          acc += av * bv;
+        }
+        crow[j] += acc;
       }
-      crow[j] += acc;
     }
   }
 }

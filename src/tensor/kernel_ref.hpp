@@ -17,10 +17,11 @@ namespace dshuf::kernel_ref {
 /// c(MxN) = a * b (+ c when accumulate); same operand conventions as
 /// kernel::gemm_blocked (a_transposed: a stored KxM; b_transposed: b
 /// stored NxK). Each output element is one ascending-k float accumulator
-/// chain, matching the blocked kernel's rounding order.
+/// chain per K segment (k_segment as in gemm_blocked; 0 = all of K),
+/// matching the blocked kernel's rounding order.
 void gemm_ref(const float* a, const float* b, float* c, std::size_t m,
               std::size_t n, std::size_t k, bool a_transposed,
-              bool b_transposed, bool accumulate);
+              bool b_transposed, bool accumulate, std::size_t k_segment = 0);
 
 /// Scalar same-padding Conv1d forward: x is [n_batch, in_c*length]
 /// channel-major, w is [out_c, in_c, kernel] flattened, y must hold

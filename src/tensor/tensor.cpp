@@ -130,15 +130,16 @@ std::atomic<KernelBackend> g_kernel_backend{KernelBackend::kBlocked};
 /// routes to the blocked production kernel or the retained reference.
 void gemm_dispatch(const float* a, const float* b, float* out, std::size_t m,
                    std::size_t n, std::size_t k, bool a_transposed,
-                   bool b_transposed, bool accumulate) {
+                   bool b_transposed, bool accumulate,
+                   std::size_t k_segment = 0) {
   DSHUF_COUNTER("tensor.gemm.calls").add(1);
   DSHUF_COUNTER("tensor.gemm.flops").add(2ULL * m * n * k);
   if (kernel_backend() == KernelBackend::kBlocked) {
     kernel::gemm_blocked(a, b, out, m, n, k, a_transposed, b_transposed,
-                         accumulate);
+                         accumulate, {}, k_segment);
   } else {
     kernel_ref::gemm_ref(a, b, out, m, n, k, a_transposed, b_transposed,
-                         accumulate);
+                         accumulate, k_segment);
   }
 }
 
@@ -168,6 +169,11 @@ void gemm(const Tensor& a, const Tensor& b, Tensor& out, bool accumulate) {
 
 void gemm_at_b(const Tensor& a, const Tensor& b, Tensor& out,
                bool accumulate) {
+  gemm_at_b(a, b, out, accumulate, /*k_segment=*/0);
+}
+
+void gemm_at_b(const Tensor& a, const Tensor& b, Tensor& out, bool accumulate,
+               std::size_t k_segment) {
   check_matrix(a, "a");
   check_matrix(b, "b");
   check_matrix(out, "out");
@@ -178,7 +184,8 @@ void gemm_at_b(const Tensor& a, const Tensor& b, Tensor& out,
   DSHUF_CHECK_EQ(out.rows(), M, "gemm_at_b output rows mismatch");
   DSHUF_CHECK_EQ(out.cols(), N, "gemm_at_b output cols mismatch");
   gemm_dispatch(a.data(), b.data(), out.data(), M, N, K,
-                /*a_transposed=*/true, /*b_transposed=*/false, accumulate);
+                /*a_transposed=*/true, /*b_transposed=*/false, accumulate,
+                k_segment);
 }
 
 void gemm_a_bt(const Tensor& a, const Tensor& b, Tensor& out,

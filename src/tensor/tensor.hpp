@@ -176,6 +176,12 @@ void gemm(const Tensor& a, const Tensor& b, Tensor& out,
 /// stored as KxM. Used for weight gradients dW = X^T dY.
 void gemm_at_b(const Tensor& a, const Tensor& b, Tensor& out,
                bool accumulate = false);
+/// gemm_at_b summing the batch dimension in consecutive segments of
+/// k_segment rows (0 = one segment), added into out in segment order
+/// (kernel::gemm_blocked): the bits of one call per segment, without
+/// copying the segments out.
+void gemm_at_b(const Tensor& a, const Tensor& b, Tensor& out, bool accumulate,
+               std::size_t k_segment);
 
 /// out = a(MxK) * b^T with b stored as NxK: out is MxN. Used for input
 /// gradients dX = dY W^T.

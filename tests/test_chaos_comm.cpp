@@ -239,15 +239,21 @@ TEST(ChaosComm, FenceFlushesDelayedMessages) {
 }
 
 TEST(ChaosComm, PollOnlyTakesArrivedMessages) {
+  // Rank 1 sends only after the barrier that follows rank 0's first poll,
+  // and rank 0 polls again only after a second barrier that follows the
+  // send — so the first poll always precedes the send and the second
+  // always follows it.
   World world(2);
   world.run([](Communicator& c) {
     if (c.rank() == 0) {
       EXPECT_FALSE(c.poll(1, 0).has_value());  // nothing sent yet
       c.barrier();
+      c.barrier();
       const auto got = c.poll(kAnySource, kAnyTag);
       ASSERT_TRUE(got.has_value());
       EXPECT_EQ(int_of(got->payload), 4);
     } else {
+      c.barrier();
       c.isend(0, 0, bytes_of(4));
       c.barrier();
     }

@@ -47,7 +47,7 @@ class CheckpointTest : public ::testing::Test {
     model.zero_grad();
     const Tensor logits = model.forward(x, true);
     ce.forward(logits, y);
-    model.backward(ce.backward());
+    model.backward(ce.grad());
     opt.step();
   }
 

@@ -153,7 +153,7 @@ TEST(MakeCnn, LearnsTheSyntheticTask) {
       m.zero_grad();
       const Tensor logits = m.forward(x, true);
       ce.forward(logits, y);
-      m.backward(ce.backward());
+      m.backward(ce.grad());
       opt.step();
     }
   }

@@ -8,6 +8,7 @@
 // checked against the scalar reference both ways through the layer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -174,6 +175,75 @@ TEST(GemmDeterminism, BitIdenticalAcrossBlockConfigs) {
         ASSERT_EQ(
             std::memcmp(base.data(), out.data(), m * n * sizeof(float)), 0)
             << "at=" << at << " bt=" << bt << " config " << c;
+      }
+    }
+  }
+}
+
+/// Copies logical columns [k0, k0 + kw) of the K dimension out of an
+/// operand stored [K, X] (k_major) or [X, K].
+std::vector<float> k_slice(const Tensor& t, bool k_major, std::size_t x,
+                           std::size_t k, std::size_t k0, std::size_t kw) {
+  std::vector<float> out(x * kw);
+  for (std::size_t kk = 0; kk < kw; ++kk) {
+    for (std::size_t i = 0; i < x; ++i) {
+      if (k_major) {
+        out[kk * x + i] = t.data()[(k0 + kk) * x + i];
+      } else {
+        out[i * kw + kk] = t.data()[i * k + k0 + kk];
+      }
+    }
+  }
+  return out;
+}
+
+TEST(GemmDeterminism, KSegmentsEqualOneCallPerSegment) {
+  // k_segment must give exactly what one call per K segment gives: each
+  // segment's chain starts from zero and lands in C in segment order.
+  // Covers every transpose mode, a ragged last segment, both accumulate
+  // modes, and the reference kernel.
+  Rng rng(23);
+  const std::size_t m = 19;
+  const std::size_t n = 37;
+  const std::size_t k = 29;
+  for (bool at : {false, true}) {
+    for (bool bt : {false, true}) {
+      if (at && bt) continue;
+      const Tensor a = Tensor::randn(at ? std::vector<std::size_t>{k, m}
+                                        : std::vector<std::size_t>{m, k},
+                                     rng);
+      const Tensor b = Tensor::randn(bt ? std::vector<std::size_t>{n, k}
+                                        : std::vector<std::size_t>{k, n},
+                                     rng);
+      const Tensor c0 = Tensor::randn({m, n}, rng);
+      for (std::size_t seg : {std::size_t{1}, std::size_t{4}, std::size_t{8},
+                              std::size_t{29}, std::size_t{64}}) {
+        for (bool acc : {false, true}) {
+          Tensor want = c0;
+          Tensor want_ref = c0;
+          for (std::size_t k0 = 0; k0 < k; k0 += seg) {
+            const std::size_t kw = std::min(seg, k - k0);
+            const auto as = k_slice(a, at, m, k, k0, kw);
+            const auto bs = k_slice(b, !bt, n, k, k0, kw);
+            kernel::gemm_blocked(as.data(), bs.data(), want.data(), m, n, kw,
+                                 at, bt, acc || k0 > 0);
+            kernel_ref::gemm_ref(as.data(), bs.data(), want_ref.data(), m, n,
+                                 kw, at, bt, acc || k0 > 0);
+          }
+          Tensor got = c0;
+          Tensor got_ref = c0;
+          kernel::gemm_blocked(a.data(), b.data(), got.data(), m, n, k, at,
+                               bt, acc, {}, seg);
+          kernel_ref::gemm_ref(a.data(), b.data(), got_ref.data(), m, n, k,
+                               at, bt, acc, seg);
+          EXPECT_EQ(std::memcmp(got.data(), want.data(), m * n * 4), 0)
+              << "at=" << at << " bt=" << bt << " seg=" << seg
+              << " acc=" << acc;
+          EXPECT_EQ(
+              std::memcmp(got_ref.data(), want_ref.data(), m * n * 4), 0)
+              << "reference at=" << at << " bt=" << bt << " seg=" << seg
+              << " acc=" << acc;
+        }
       }
     }
   }

@@ -40,7 +40,7 @@ TEST(SoftmaxCrossEntropy, GradientIsProbsMinusOneHotOverN) {
   SoftmaxCrossEntropy ce;
   Tensor logits({2, 3}, {1, 2, 3, 0, 0, 0});
   ce.forward(logits, {2, 0});
-  const Tensor g = ce.backward();
+  const Tensor g = ce.grad();
   // Row sums of the gradient are zero (softmax property).
   for (std::size_t i = 0; i < 2; ++i) {
     double s = 0;
@@ -66,7 +66,7 @@ TEST(SoftmaxCrossEntropy, GradientMatchesFiniteDifferences) {
   Tensor logits = Tensor::randn({3, 4}, rng);
   const std::vector<std::uint32_t> labels{1, 3, 0};
   ce.forward(logits, labels);
-  const Tensor g = ce.backward();
+  const Tensor g = ce.grad();
   const float eps = 1e-2F;
   for (std::size_t i = 0; i < logits.size(); ++i) {
     const float orig = logits.at(i);

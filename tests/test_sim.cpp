@@ -128,7 +128,7 @@ std::vector<float> averaged_gradient(
     const auto y = ds.gather_labels(batch);
     const Tensor logits = model.forward(x, true);
     ce.forward(logits, y);
-    model.backward(ce.backward());
+    model.backward(ce.grad());
   }
   model.scale_grad(1.0F / static_cast<float>(worker_batches.size()));
   return model.gradients();

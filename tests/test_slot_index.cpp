@@ -21,8 +21,8 @@ class SlotIndexBackends
 INSTANTIATE_TEST_SUITE_P(Backends, SlotIndexBackends,
                          ::testing::Values(SlotIndexKind::kOpenAddressing,
                                            SlotIndexKind::kLearned),
-                         [](const auto& info) {
-                           return to_string(info.param);
+                         [](const auto& param_info) {
+                           return to_string(param_info.param);
                          });
 
 TEST_P(SlotIndexBackends, PutFindEraseBasics) {
@@ -107,7 +107,9 @@ TEST_P(SlotIndexBackends, MatchesMapReferenceUnderRandomSchedules) {
             std::uint64_t v = 0;
             const auto it = ref.find(id);
             EXPECT_EQ(idx->find(id, v), it != ref.end());
-            if (it != ref.end()) EXPECT_EQ(v, it->second);
+            if (it != ref.end()) {
+              EXPECT_EQ(v, it->second);
+            }
             break;
           }
         }

@@ -24,18 +24,28 @@ namespace {
 std::atomic<std::uint64_t> g_allocs{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// The replacements stay out of line: once one side is inlined into
+// gtest's registration code, g++ 12 pairs malloc() with operator delete,
+// or operator new with free(), and warns (-Wmismatched-new-delete),
+// though the pair as a whole is consistent.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
 
-void* operator new[](std::size_t size) { return ::operator new(size); }
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace dshuf::io {
 namespace {
@@ -98,8 +108,8 @@ class StoreAllocTest : public ::testing::TestWithParam<SlotIndexKind> {};
 INSTANTIATE_TEST_SUITE_P(Backends, StoreAllocTest,
                          ::testing::Values(SlotIndexKind::kOpenAddressing,
                                            SlotIndexKind::kLearned),
-                         [](const auto& info) {
-                           return to_string(info.param);
+                         [](const auto& param_info) {
+                           return to_string(param_info.param);
                          });
 
 TEST_P(StoreAllocTest, SteadyStateReadsAreAllocationFree) {

@@ -148,10 +148,10 @@ TEST(TopologyResolution, ValidatesShape) {
   EXPECT_EQ(r.group_size, 16);
   EXPECT_EQ(r.group_of(17), 1);
   EXPECT_EQ(r.leader_of(2), 32);
-  EXPECT_THROW(topo.resolved_for(62), CheckError);  // 62 % 4 != 0
+  EXPECT_THROW((void)topo.resolved_for(62), CheckError);  // 62 % 4 != 0
   Topology bad = topo;
   bad.groups = 0;
-  EXPECT_THROW(bad.resolved_for(64), CheckError);
+  EXPECT_THROW((void)bad.resolved_for(64), CheckError);
 }
 
 }  // namespace

@@ -6,7 +6,8 @@
 // iterations (which size every workspace slot, pack buffer, and loss
 // member to its high-water mark), a full train iteration — gather,
 // zero_grad, forward, loss, backward, optimizer step — performs no heap
-// allocation at all, for both the MLP (with BatchNorm) and CNN proxies.
+// allocation at all, for both the MLP (with BatchNorm) and CNN proxies,
+// on a plain batch and on the simulator's stack of worker segments.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -96,37 +97,46 @@ TEST(Workspace, BytesReservedTracksCapacity) {
 }
 
 // One full training iteration against `model`; everything it touches is
-// preallocated by the caller or capacity-reusing.
+// preallocated by the caller or capacity-reusing. segment_rows > 0 runs
+// the simulator's stacked step: the batch is a stack of per-worker
+// segments, and the summed gradient is averaged over them.
 void train_iteration(nn::Model& model, nn::Sgd& opt,
                      nn::SoftmaxCrossEntropy& ce,
                      const data::InMemoryDataset& ds,
                      const std::vector<data::SampleId>& batch, Tensor& xbuf,
-                     std::vector<std::uint32_t>& ybuf) {
+                     std::vector<std::uint32_t>& ybuf,
+                     std::size_t segment_rows = 0) {
   ds.gather_into(batch, xbuf);
   ds.gather_labels_into(batch, ybuf);
   model.zero_grad();
-  const Tensor& logits = model.forward(xbuf, true);
-  ce.forward(logits, ybuf);
+  const Tensor& logits = model.forward(xbuf, true, segment_rows);
+  ce.forward(logits, ybuf, segment_rows);
   model.backward(ce.grad());
+  if (segment_rows > 0) {
+    model.scale_grad(static_cast<float>(segment_rows) /
+                     static_cast<float>(batch.size()));
+  }
   opt.step();
 }
 
 void expect_steady_state_alloc_free(nn::Model model,
-                                    const data::InMemoryDataset& ds) {
+                                    const data::InMemoryDataset& ds,
+                                    std::size_t batch_rows = 32,
+                                    std::size_t segment_rows = 0) {
   nn::Sgd opt(model, {.lr = 0.05F, .momentum = 0.9F});
   nn::SoftmaxCrossEntropy ce;
-  std::vector<data::SampleId> batch(32);
+  std::vector<data::SampleId> batch(batch_rows);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     batch[i] = static_cast<data::SampleId>((i * 13) % ds.size());
   }
   Tensor xbuf;
   std::vector<std::uint32_t> ybuf;
   for (int warmup = 0; warmup < 3; ++warmup) {
-    train_iteration(model, opt, ce, ds, batch, xbuf, ybuf);
+    train_iteration(model, opt, ce, ds, batch, xbuf, ybuf, segment_rows);
   }
   const std::uint64_t n = count_allocs([&] {
     for (int it = 0; it < 10; ++it) {
-      train_iteration(model, opt, ce, ds, batch, xbuf, ybuf);
+      train_iteration(model, opt, ce, ds, batch, xbuf, ybuf, segment_rows);
     }
   });
   EXPECT_EQ(n, 0U) << n << " heap allocations in 10 steady-state iterations";
@@ -147,6 +157,22 @@ TEST(SteadyState, MlpWithBatchNormIsAllocationFree) {
                    .norm = nn::NormKind::kBatchNorm};
   Rng rng(9);
   expect_steady_state_alloc_free(nn::make_mlp(spec, rng), make_ds(16));
+}
+
+// The simulator's step: 16 workers' 8-row minibatches stacked into one
+// 128-row pass with per-worker segments.
+TEST(SteadyState, StackedSixteenWorkerStepIsAllocationFree) {
+  nn::MlpSpec spec{.input_dim = 32,
+                   .hidden = {96, 64, 64},
+                   .num_classes = 16,
+                   .norm = nn::NormKind::kBatchNorm};
+  Rng rng(9);
+  expect_steady_state_alloc_free(nn::make_mlp(spec, rng), make_ds(16),
+                                 /*batch_rows=*/128, /*segment_rows=*/8);
+  nn::CnnSpec cnn;
+  Rng cnn_rng(9);
+  expect_steady_state_alloc_free(nn::make_cnn(cnn, cnn_rng), make_ds(10),
+                                 /*batch_rows=*/128, /*segment_rows=*/8);
 }
 
 TEST(SteadyState, CnnIsAllocationFree) {

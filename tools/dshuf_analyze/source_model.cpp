@@ -130,7 +130,9 @@ std::string scrub(const std::string& content) {
           // Raw string: capture the delimiter up to '('.
           std::size_t j = i + 2;
           while (j < content.size() && content[j] != '(') ++j;
-          raw_delim = ")" + content.substr(i + 2, j - i - 2) + "\"";
+          raw_delim.assign(1, ')');
+          raw_delim.append(content, i + 2, j - i - 2);
+          raw_delim.push_back('"');
           st = St::kRaw;
           // Keep R"...( visible length but blank it.
           for (std::size_t k = i; k <= j && k < content.size(); ++k) {
