@@ -6,6 +6,8 @@
 // tools/dshuf_bench records the same comparison as JSON.
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "data/synthetic.hpp"
 #include "nn/builder.hpp"
 #include "nn/conv.hpp"
@@ -153,6 +155,51 @@ void BM_GemmABt(benchmark::State& state) {
   run_gemm(state, KernelBackend::kBlocked, gemm_a_bt);
 }
 BENCHMARK(BM_GemmABt)->Arg(128)->Arg(256);
+
+// The nine GEMMs of one training step of the imagenet1k-resnet50 proxy's
+// Linear layers (32 -> 96 -> 64 -> 64), as nn::Linear calls them: per
+// layer the forward pass, the weight gradient summed over 8-row worker
+// segments (k_segment = 8, as the stacked sim trainer runs it) and the
+// input gradient. Rows: 128 is the stacked sim_pls step (16 workers x
+// b = 8), 32 a dp_pls rank's batch. Args: rows, layer * 3 + op.
+void BM_GemmTrainerShapes(benchmark::State& state) {
+  constexpr std::size_t kDims[] = {32, 96, 64, 64};
+  constexpr const char* kOps[] = {"fw", "dW", "dX"};
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const auto layer = static_cast<std::size_t>(state.range(1)) / 3;
+  const auto op = static_cast<std::size_t>(state.range(1)) % 3;
+  const std::size_t in = kDims[layer];
+  const std::size_t out = kDims[layer + 1];
+  Rng rng(3);
+  const Tensor x = Tensor::randn({rows, in}, rng);
+  const Tensor w = Tensor::randn({in, out}, rng);
+  const Tensor dy = Tensor::randn({rows, out}, rng);
+  Tensor y({rows, out});
+  Tensor dw({in, out});
+  Tensor dx({rows, in});
+  for (auto _ : state) {
+    if (op == 0) {
+      gemm(x, w, y);
+      benchmark::DoNotOptimize(y.data());
+    } else if (op == 1) {
+      gemm_at_b(x, dy, dw, /*accumulate=*/true, /*k_segment=*/8);
+      benchmark::DoNotOptimize(dw.data());
+    } else {
+      gemm_a_bt(dy, w, dx);
+      benchmark::DoNotOptimize(dx.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(std::string(kOps[op]) + " " + std::to_string(in) + "x" +
+                 std::to_string(out));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * rows * in * out));
+}
+BENCHMARK(BM_GemmTrainerShapes)->Apply([](benchmark::internal::Benchmark* b) {
+  for (std::int64_t rows : {128, 32}) {
+    for (std::int64_t shape = 0; shape < 9; ++shape) b->Args({rows, shape});
+  }
+});
 
 // One Conv1d block at the CNN proxy's working size (batch 32, 8 -> 16
 // channels over length 32). Items = output scalars per pass.

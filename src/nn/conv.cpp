@@ -4,7 +4,6 @@
 
 #include "nn/layers.hpp"
 #include "nn/norm.hpp"
-#include "tensor/gemm_kernel.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/kernel_ref.hpp"
 
@@ -53,9 +52,9 @@ void Conv1d::forward_into(const Tensor& x, Tensor& y, bool /*training*/) {
   kernel::im2col_1d(x.data(), N, in_channels_, length_, kernel_, cols);
   Tensor& out_big = scratch(kOutBigSlot);
   out_big.resize2(out_channels_, nl);
-  kernel::gemm_blocked(weight_.value.data(), cols.data(), out_big.data(),
-                       out_channels_, nl, ck, /*a_transposed=*/false,
-                       /*b_transposed=*/false, /*accumulate=*/false);
+  gemm_raw(weight_.value.data(), cols.data(), out_big.data(), out_channels_,
+           nl, ck, /*a_transposed=*/false, /*b_transposed=*/false,
+           /*accumulate=*/false);
 
   // Scatter back to the layer's [N, out_c * L] layout with the bias fused.
   const float* b = bias_.value.data();
@@ -120,17 +119,16 @@ void Conv1d::backward_into(const Tensor& grad_out, Tensor& grad_in) {
   // are S * L consecutive columns, i.e. one K segment of this GEMM.
   const Tensor& cols = scratch(kColsSlot);
   DSHUF_CHECK_EQ(cols.cols(), nl, "Conv1d backward without matching forward");
-  kernel::gemm_blocked(g_big.data(), cols.data(), weight_.grad.data(),
-                       out_channels_, ck, nl, /*a_transposed=*/false,
-                       /*b_transposed=*/true, /*accumulate=*/true, {},
-                       /*k_segment=*/S * length_);
+  gemm_raw(g_big.data(), cols.data(), weight_.grad.data(), out_channels_, ck,
+           nl, /*a_transposed=*/false, /*b_transposed=*/true,
+           /*accumulate=*/true, /*k_segment=*/S * length_);
 
   // dcols = W^T * dY_big, then the adjoint scatter back to signal layout.
   Tensor& dcols = scratch(kDColsSlot);
   dcols.resize2(ck, nl);
-  kernel::gemm_blocked(weight_.value.data(), g_big.data(), dcols.data(), ck,
-                       nl, out_channels_, /*a_transposed=*/true,
-                       /*b_transposed=*/false, /*accumulate=*/false);
+  gemm_raw(weight_.value.data(), g_big.data(), dcols.data(), ck, nl,
+           out_channels_, /*a_transposed=*/true, /*b_transposed=*/false,
+           /*accumulate=*/false);
   kernel::col2im_1d(dcols, N, in_channels_, length_, kernel_,
                     grad_in.data());
 }

@@ -11,53 +11,71 @@ namespace dshuf::kernel {
 
 namespace {
 
-/// ap: K x kMR micro-panel (k-major), bp: K x kNR micro-panel (k-major).
-/// acc receives the kMR x kNR tile. The local array keeps the whole tile
-/// in registers across the K loop; each acc element is one ascending-k
-/// accumulator chain (the determinism contract in the header).
-void micro_kernel(std::size_t k_dim, const float* ap, const float* bp,
-                  float* acc) {
-  float c[kMR][kNR] = {};
-  for (std::size_t k = 0; k < k_dim; ++k) {
-    const float* a = ap + k * kMR;
-    const float* b = bp + k * kNR;
+/// Sixteen floats. Arithmetic on it contracts to FMA exactly where the
+/// same scalar expression would (with -march=native on an FMA host).
+using Vec = float __attribute__((vector_size(64)));
+constexpr std::size_t kLanes = sizeof(Vec) / sizeof(float);
+constexpr std::size_t kVecs = kNR / kLanes;
+static_assert(kNR % kLanes == 0, "a tile row is whole vectors");
+
+/// One GEMM call's operands. A row i, step k, is a[i * a_row + k * a_step].
+struct Operands {
+  const float* a;
+  std::size_t a_row;
+  std::size_t a_step;
+  const float* b;   // B as stored, read in place for full panels
+  const float* bp;  // packed panels, the first at column bp_from
+  std::size_t bp_from;
+  float* c;
+  std::size_t m, n, k, k_seg;
+  bool b_transposed, accumulate;
+};
+
+/// Tile at (i0, j0): rows [i0, i0 + iw), cols [j0, j0 + jw) of C, over
+/// k in [k0, k0 + kw). Each element is one ascending chain from zero
+/// (the determinism contract in the header), stored into C or added to
+/// it. A rows past the tile's edge repeat its last row, B columns past
+/// the edge are zero padding; neither is stored.
+void tile(const Operands& p, std::size_t i0, std::size_t iw, std::size_t j0,
+          std::size_t jw, const float* bk, std::size_t ldb, std::size_t k0,
+          std::size_t kw, bool add) {
+  const float* rows[kMR];
+  for (std::size_t r = 0; r < kMR; ++r) {
+    rows[r] = p.a + (i0 + std::min(r, iw - 1)) * p.a_row + k0 * p.a_step;
+  }
+  // Every loop over the tile unrolls fully, so acc is indexed by constants
+  // only and stays in registers.
+  Vec acc[kMR][kVecs] = {};
+  for (std::size_t kk = 0, off = 0; kk < kw; ++kk, off += p.a_step) {
+    Vec bv[kVecs];
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      std::memcpy(&bv[v], bk + kk * ldb + v * kLanes, sizeof(Vec));
+    }
     for (std::size_t r = 0; r < kMR; ++r) {
-      const float av = a[r];
-      for (std::size_t j = 0; j < kNR; ++j) {
-        c[r][j] += av * b[j];
-      }
+      const float av = rows[r][off];
+      for (std::size_t v = 0; v < kVecs; ++v) acc[r][v] += av * bv[v];
     }
   }
-  std::memcpy(acc, c, sizeof(c));
-}
-
-std::size_t round_up(std::size_t v, std::size_t to) {
-  return (v + to - 1) / to * to;
-}
-
-/// Pack `mb` rows of A starting at row `ic` into k-major kMR micro-panels,
-/// zero-padding the last panel's missing rows. When transposed, A is
-/// stored K x M and a[k*m + i] is element (i, k).
-void pack_a(const float* a, std::size_t m, std::size_t k_dim, std::size_t ic,
-            std::size_t mb, bool transposed, float* dst) {
-  for (std::size_t i0 = 0; i0 < mb; i0 += kMR) {
-    const std::size_t iw = std::min(kMR, mb - i0);
-    float* panel = dst + i0 * k_dim;
-    if (transposed) {
-      for (std::size_t k = 0; k < k_dim; ++k) {
-        const float* src = a + k * m + ic + i0;
-        float* out = panel + k * kMR;
-        for (std::size_t r = 0; r < iw; ++r) out[r] = src[r];
-        for (std::size_t r = iw; r < kMR; ++r) out[r] = 0.0F;
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < kMR; ++r) {
+    if (r == iw) break;
+    float* crow = p.c + (i0 + r) * p.n + j0;
+    float t[kNR];
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      Vec out = acc[r][v];
+      if (jw < kNR) {  // partial panel: merged column by column below
+        std::memcpy(t + v * kLanes, &out, sizeof(out));
+        continue;
       }
-    } else {
-      for (std::size_t k = 0; k < k_dim; ++k) {
-        float* out = panel + k * kMR;
-        for (std::size_t r = 0; r < iw; ++r) {
-          out[r] = a[(ic + i0 + r) * k_dim + k];
-        }
-        for (std::size_t r = iw; r < kMR; ++r) out[r] = 0.0F;
+      if (add) {
+        Vec old;
+        std::memcpy(&old, crow + v * kLanes, sizeof(old));
+        out = old + out;
       }
+      std::memcpy(crow + v * kLanes, &out, sizeof(out));
+    }
+    for (std::size_t j = 0; jw < kNR && j < jw; ++j) {
+      crow[j] = add ? crow[j] + t[j] : t[j];
     }
   }
 }
@@ -70,71 +88,43 @@ void pack_b(const float* b, std::size_t n, std::size_t k_dim, std::size_t jc,
   for (std::size_t j0 = 0; j0 < nb; j0 += kNR) {
     const std::size_t jw = std::min(kNR, nb - j0);
     float* panel = dst + j0 * k_dim;
-    if (transposed) {
-      for (std::size_t k = 0; k < k_dim; ++k) {
-        float* out = panel + k * kNR;
-        for (std::size_t j = 0; j < jw; ++j) {
-          out[j] = b[(jc + j0 + j) * k_dim + k];
-        }
-        for (std::size_t j = jw; j < kNR; ++j) out[j] = 0.0F;
+    for (std::size_t k = 0; k < k_dim; ++k) {
+      float* out = panel + k * kNR;
+      if (!transposed) std::memcpy(out, b + k * n + jc + j0, jw * sizeof(*out));
+      for (std::size_t j = 0; transposed && j < jw; ++j) {
+        out[j] = b[(jc + j0 + j) * k_dim + k];
       }
-    } else {
-      for (std::size_t k = 0; k < k_dim; ++k) {
-        const float* src = b + k * n + jc + j0;
-        float* out = panel + k * kNR;
-        for (std::size_t j = 0; j < jw; ++j) out[j] = src[j];
-        for (std::size_t j = jw; j < kNR; ++j) out[j] = 0.0F;
+      std::fill(out + jw, out + kNR, 0.0F);
+    }
+  }
+}
+
+/// Work M blocks [blk_begin, blk_end) of the N block [jc, jc + nb). Chunks
+/// own disjoint C rows, so this is the unit parallel_for fans out.
+void run_m_blocks(const Operands& p, std::size_t jc, std::size_t nb,
+                  std::size_t mc, std::size_t blk_begin, std::size_t blk_end) {
+  for (std::size_t blk = blk_begin; blk < blk_end; ++blk) {
+    const std::size_t ic = blk * mc;
+    const std::size_t mb = std::min(mc, p.m - ic);
+    for (std::size_t j0 = jc; j0 < jc + nb; j0 += kNR) {
+      const std::size_t jw = std::min(kNR, jc + nb - j0);
+      const bool in_place = !p.b_transposed && jw == kNR;
+      const float* bpanel = in_place ? p.b + j0 : p.bp + (j0 - p.bp_from) * p.k;
+      const std::size_t ldb = in_place ? p.n : kNR;
+      for (std::size_t i0 = ic; i0 < ic + mb; i0 += kMR) {
+        const std::size_t iw = std::min(kMR, ic + mb - i0);
+        // One chain per K segment, each merged into C in segment order.
+        for (std::size_t k0 = 0; k0 < p.k; k0 += p.k_seg) {
+          tile(p, i0, iw, j0, jw, bpanel + k0 * ldb, ldb, k0,
+               std::min(p.k_seg, p.k - k0), p.accumulate || k0 > 0);
+        }
       }
     }
   }
 }
 
-/// Per-thread A-pack buffer. Shared by the serial path and every
-/// parallel_for chunk (each executing thread packs its own A block), so
-/// steady-state calls stay allocation-free on every worker.
-thread_local std::vector<float> t_a_pack;
-
-/// Work a contiguous range of M blocks [blk_begin, blk_end) of one
-/// (jc, nb) N block: pack each A block locally, then run the micro-kernel
-/// grid against the caller-packed B panel `bp`. Chunks own disjoint C
-/// rows, so this is the unit parallel_for fans out.
-void run_m_blocks(const float* a, const float* bp, float* c, std::size_t m,
-                  std::size_t n, std::size_t k, std::size_t k_seg,
-                  bool a_transposed, bool accumulate, std::size_t jc,
-                  std::size_t nb, std::size_t mc_eff, std::size_t blk_begin,
-                  std::size_t blk_end) {
-  std::vector<float>& a_pack = t_a_pack;
-  alignas(64) float acc[kMR * kNR];
-  for (std::size_t blk = blk_begin; blk < blk_end; ++blk) {
-    const std::size_t ic = blk * mc_eff;
-    const std::size_t mb = std::min(mc_eff, m - ic);
-    a_pack.resize(k * round_up(mb, kMR));
-    pack_a(a, m, k, ic, mb, a_transposed, a_pack.data());
-
-    for (std::size_t j0 = 0; j0 < nb; j0 += kNR) {
-      const std::size_t jw = std::min(kNR, nb - j0);
-      for (std::size_t i0 = 0; i0 < mb; i0 += kMR) {
-        const std::size_t iw = std::min(kMR, mb - i0);
-        // One chain per K segment, each merged into C in segment order.
-        // Packed panels are k-major, so a segment is a contiguous slice.
-        for (std::size_t k0 = 0; k0 < k; k0 += k_seg) {
-          const std::size_t kw = std::min(k_seg, k - k0);
-          micro_kernel(kw, a_pack.data() + i0 * k + k0 * kMR,
-                       bp + j0 * k + k0 * kNR, acc);
-          // Merge the tile, dropping zero-padded edge lanes.
-          for (std::size_t r = 0; r < iw; ++r) {
-            float* crow = c + (ic + i0 + r) * n + jc + j0;
-            const float* arow = acc + r * kNR;
-            if (accumulate || k0 > 0) {
-              for (std::size_t j = 0; j < jw; ++j) crow[j] += arow[j];
-            } else {
-              for (std::size_t j = 0; j < jw; ++j) crow[j] = arow[j];
-            }
-          }
-        }
-      }
-    }
-  }
+std::size_t round_up(std::size_t v, std::size_t to) {
+  return (v + to - 1) / to * to;
 }
 
 }  // namespace
@@ -151,8 +141,8 @@ void gemm_blocked(const float* a, const float* b, float* c, std::size_t m,
     return;
   }
 
-  // B-pack buffer persists across calls (allocation-free steady state);
-  // it belongs to the calling thread and is shared read-only with chunks.
+  // Packed B panels persist across calls (allocation-free steady state);
+  // they belong to the calling thread and are shared read-only with chunks.
   static thread_local std::vector<float> b_pack;
 
   // Fan out only when the scheduler exists and the problem amortises the
@@ -165,24 +155,31 @@ void gemm_blocked(const float* a, const float* b, float* c, std::size_t m,
   // Smaller M blocks for the parallel path so there are ~2 chunks per
   // worker to steal. Any mc gives bit-identical results (header
   // contract), so this only changes the work granularity.
-  std::size_t mc_eff = cfg.mc;
+  std::size_t mc = cfg.mc;
   if (parallel) {
     const std::size_t workers = sched->workers();
     const std::size_t target = (m + 2 * workers - 1) / (2 * workers);
-    mc_eff = std::clamp(round_up(target, kMR), kMR, cfg.mc);
+    mc = std::clamp(round_up(target, kMR), kMR, cfg.mc);
   }
-  const std::size_t m_blocks = (m + mc_eff - 1) / mc_eff;
-  const std::size_t k_seg = k_segment == 0 ? k : std::min(k_segment, k);
+  const std::size_t m_blocks = (m + mc - 1) / mc;
 
+  Operands p{.a = a, .a_row = a_transposed ? 1 : k,
+             .a_step = a_transposed ? m : 1, .b = b, .bp = nullptr,
+             .bp_from = 0, .c = c, .m = m, .n = n, .k = k,
+             .k_seg = k_segment == 0 ? k : std::min(k_segment, k),
+             .b_transposed = b_transposed, .accumulate = accumulate};
   for (std::size_t jc = 0; jc < n; jc += cfg.nc) {
     const std::size_t nb = std::min(cfg.nc, n - jc);
-    b_pack.resize(k * round_up(nb, kNR));
-    pack_b(b, n, k, jc, nb, b_transposed, b_pack.data());
-    const float* const bp = b_pack.data();
+    // Pack what cannot be read in place: all of B^T, else the partial
+    // last panel.
+    p.bp_from = jc + (b_transposed ? 0 : nb / kNR * kNR);
+    const std::size_t packed = jc + nb - p.bp_from;
+    b_pack.resize(k * round_up(packed, kNR));
+    pack_b(b, n, k, p.bp_from, packed, b_transposed, b_pack.data());
+    p.bp = b_pack.data();
 
     const auto body = [&](std::size_t blk_begin, std::size_t blk_end) {
-      run_m_blocks(a, bp, c, m, n, k, k_seg, a_transposed, accumulate, jc,
-                   nb, mc_eff, blk_begin, blk_end);
+      run_m_blocks(p, jc, nb, mc, blk_begin, blk_end);
     };
     if (parallel && m_blocks > 1) {
       sched->parallel_for(0, m_blocks, 1, body);

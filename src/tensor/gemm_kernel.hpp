@@ -1,49 +1,58 @@
-// Packed, cache-blocked, register-tiled single-core GEMM.
+// Cache-blocked, register-tiled single-core GEMM that reads its operands
+// in place.
 //
 // One micro-kernel computes a kMR x kNR output tile as a rank-1-update
-// sum over the full K dimension, with all kMR*kNR accumulators held in
-// registers (auto-vectorized; compiled with -march=native when
-// DSHUF_NATIVE_ARCH is on). A and B operands are packed into k-major
-// micro-panels first so the micro-kernel streams both with unit stride.
+// sum over a K range. The tile is 16 explicit 16-lane vectors (GCC
+// vector_size(64): one zmm each with AVX-512, a ymm pair with AVX2, an
+// xmm quad with SSE2), so with -march=native on an AVX-512 host it lives
+// in 16 of the 32 zmm registers for the whole K loop. The kernel only
+// broadcasts A elements, so A is never packed: it reads kMR rows in place
+// through row pointers with a k stride (1 for A, M for A^T), and edge
+// tiles repeat the last valid row. B is read in place when it is not
+// transposed and its kNR-column panel is full; B^T and a partial last
+// panel are packed into zero-padded k-major panels. Full-width tile rows
+// are stored or added into C straight from registers.
 //
 // Determinism contract: every output element is produced by a single
-// accumulator chain over k = 0..K-1 in ascending order (one chain per K
-// segment when the caller asks for segments), with zero-padded edge lanes
-// never stored — so results are bit-identical across runs AND
-// independent of the cache-block configuration (mc, nc). There is
-// deliberately no K-blocking: carrying partial sums through C between K
-// panels would make the rounding order depend on the block size.
-// tests/test_kernels.cpp asserts both properties.
+// accumulator chain over k = 0..K-1 in ascending order, started from zero
+// (one chain per K segment when the caller asks for segments, each added
+// into C in segment order), and padded or repeated edge lanes are never
+// stored — so results are bit-identical across runs AND independent of
+// the cache-block configuration (mc, nc). There is deliberately no
+// K-blocking: carrying partial sums through C between K panels would make
+// the rounding order depend on the block size. tests/test_kernels.cpp
+// asserts both properties; tests/test_gemm_oracle.cpp holds the kernel
+// bit for bit to the packed kernel it replaced.
 //
 // Multicore: when the global task scheduler is active and the problem is
 // large enough, the M-block loop inside each N block fans out as
-// parallel_for chunks. Each chunk owns disjoint C rows and packs its own
-// A block; B is packed once by the caller and shared read-only. Because
-// the per-element accumulator chain is untouched (only WHICH thread runs
-// a given M block changes, never the arithmetic within it), multicore
-// results are bit-identical to the single-core ones for any worker count
-// — tests/test_task_determinism.cpp asserts this. Task bodies submitted
-// to the scheduler must not themselves call gemm_blocked: the shared
-// packed-B panel is thread_local to the caller, and a nested call from a
-// helping thread would resize it mid-use.
+// parallel_for chunks. Each chunk owns disjoint C rows; A, B and any
+// packed B panel (packed once by the caller) are shared read-only.
+// Because the per-element accumulator chain is untouched (only WHICH
+// thread runs a given M block changes, never the arithmetic within it),
+// multicore results are bit-identical to the single-core ones for any
+// worker count — tests/test_task_determinism.cpp asserts this. Task
+// bodies submitted to the scheduler must not themselves call
+// gemm_blocked: the packed-B buffer is thread_local to the caller, and a
+// nested call from a helping thread would resize it mid-use.
 //
-// Pack buffers are thread_local and keep their capacity, so steady-state
-// calls are allocation-free.
+// The packed-B buffer keeps its capacity, so steady-state calls are
+// allocation-free.
 #pragma once
 
 #include <cstddef>
 
 namespace dshuf::kernel {
 
-/// Rows / cols of the register micro-tile. kMR*kNR accumulators must fit
-/// the vector register file (8x32 floats = 16 AVX-512 zmm registers).
+/// Rows / cols of the register micro-tile: 8 rows of two 16-float
+/// vectors.
 inline constexpr std::size_t kMR = 8;
 inline constexpr std::size_t kNR = 32;
 
-/// Cache-block sizes (rows of A / cols of B packed per panel). Any
-/// positive values give bit-identical results; these default to panels
-/// that keep the packed A block plus a B micro-panel L2-resident for the
-/// K range this workload sees (K <= ~4096).
+/// Cache-block sizes: rows of C per M block (the unit the multicore path
+/// fans out) and columns of B per N block. Any positive values give
+/// bit-identical results; the defaults keep an M block's rows of A plus a
+/// B panel cache-resident for the K range this workload sees.
 struct BlockConfig {
   std::size_t mc = 64;
   std::size_t nc = 512;

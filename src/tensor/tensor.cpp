@@ -126,24 +126,36 @@ void check_matrix(const Tensor& t, const char* name) {
 // so one GEMM never straddles a concurrent flip.
 std::atomic<KernelBackend> g_kernel_backend{KernelBackend::kBlocked};
 
-/// Shared tail of the three gemm entry points: counts the call, then
-/// routes to the blocked production kernel or the retained reference.
+void count_gemm(std::size_t m, std::size_t n, std::size_t k) {
+  DSHUF_COUNTER("tensor.gemm.calls").add(1);
+  DSHUF_COUNTER("tensor.gemm.flops").add(2ULL * m * n * k);
+}
+
+/// Shared tail of the three gemm entry points: routes to the blocked
+/// production kernel or the retained reference, counting either.
 void gemm_dispatch(const float* a, const float* b, float* out, std::size_t m,
                    std::size_t n, std::size_t k, bool a_transposed,
                    bool b_transposed, bool accumulate,
                    std::size_t k_segment = 0) {
-  DSHUF_COUNTER("tensor.gemm.calls").add(1);
-  DSHUF_COUNTER("tensor.gemm.flops").add(2ULL * m * n * k);
   if (kernel_backend() == KernelBackend::kBlocked) {
-    kernel::gemm_blocked(a, b, out, m, n, k, a_transposed, b_transposed,
-                         accumulate, {}, k_segment);
+    gemm_raw(a, b, out, m, n, k, a_transposed, b_transposed, accumulate,
+             k_segment);
   } else {
+    count_gemm(m, n, k);
     kernel_ref::gemm_ref(a, b, out, m, n, k, a_transposed, b_transposed,
                          accumulate, k_segment);
   }
 }
 
 }  // namespace
+
+void gemm_raw(const float* a, const float* b, float* c, std::size_t m,
+              std::size_t n, std::size_t k, bool a_transposed,
+              bool b_transposed, bool accumulate, std::size_t k_segment) {
+  count_gemm(m, n, k);
+  kernel::gemm_blocked(a, b, c, m, n, k, a_transposed, b_transposed,
+                       accumulate, {}, k_segment);
+}
 
 KernelBackend kernel_backend() {
   return g_kernel_backend.load(std::memory_order_acquire);

@@ -129,7 +129,7 @@ void copy_into(const Tensor& src, Tensor& dst);
 // --- BLAS-like free functions (row-major) ---------------------------------
 
 /// Which dense-compute implementation the gemm/conv entry points use.
-/// kBlocked is the packed, register-tiled production kernel; kReference is
+/// kBlocked is the blocked, register-tiled production kernel; kReference is
 /// the retained naive kernel, kept for equivalence testing and for
 /// before/after measurement (tools/dshuf_bench). Process-wide; intended
 /// for tests and benches only — experiments always run kBlocked.
@@ -187,6 +187,16 @@ void gemm_at_b(const Tensor& a, const Tensor& b, Tensor& out, bool accumulate,
 /// gradients dX = dY W^T.
 void gemm_a_bt(const Tensor& a, const Tensor& b, Tensor& out,
                bool accumulate = false);
+
+/// The blocked kernel on raw row-major buffers (kernel::gemm_blocked's
+/// operand layouts and k_segment), for callers that lower to a GEMM on
+/// their own scratch, as Conv1d does through im2col. Counted in
+/// tensor.gemm.calls / tensor.gemm.flops like the Tensor entry points. It
+/// does not read the kernel backend: a caller that has one reference path
+/// picks it before lowering.
+void gemm_raw(const float* a, const float* b, float* c, std::size_t m,
+              std::size_t n, std::size_t k, bool a_transposed,
+              bool b_transposed, bool accumulate, std::size_t k_segment = 0);
 
 /// Row-wise argmax of a matrix (per-sample prediction).
 std::vector<std::uint32_t> argmax_rows(const Tensor& m);

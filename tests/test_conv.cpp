@@ -4,9 +4,11 @@
 
 #include "data/synthetic.hpp"
 #include "gradcheck.hpp"
+#include "nn/builder.hpp"
 #include "nn/loss.hpp"
 #include "nn/metrics.hpp"
 #include "nn/optimizer.hpp"
+#include "obs/metrics.hpp"
 
 namespace dshuf::nn {
 namespace {
@@ -174,6 +176,67 @@ TEST(MakeCnn, RejectsNonDividingPool) {
                .pool = 3,
                .num_classes = 3};
   EXPECT_THROW(make_cnn(spec, rng), CheckError);
+}
+
+struct GemmCount {
+  std::uint64_t calls = 0;
+  std::uint64_t flops = 0;
+};
+
+/// tensor.gemm.calls / tensor.gemm.flops added by one training step.
+GemmCount count_train_step(Model& model, std::size_t rows,
+                           std::size_t features, std::size_t classes) {
+  Rng rng(29);
+  const Tensor x = Tensor::randn({rows, features}, rng);
+  std::vector<std::uint32_t> y(rows);
+  for (std::size_t i = 0; i < rows; ++i) {
+    y[i] = static_cast<std::uint32_t>(i % classes);
+  }
+  auto& reg = obs::Registry::instance();
+  const GemmCount before{reg.counter("tensor.gemm.calls").value(),
+                         reg.counter("tensor.gemm.flops").value()};
+  SoftmaxCrossEntropy ce;
+  model.zero_grad();
+  (void)ce.forward(model.forward(x, /*training=*/true), y);
+  model.backward(ce.grad());
+  return {reg.counter("tensor.gemm.calls").value() - before.calls,
+          reg.counter("tensor.gemm.flops").value() - before.flops};
+}
+
+TEST(GemmCounting, CnnTrainStepCountsEveryConvAndLinearGemm) {
+  // Conv1d lowers to three GEMMs per step (forward, dW, dX), each over
+  // m*n*k = out_c * (rows * L) * (in_c * kernel); the classifier Linear
+  // to three over rows * in * out.
+  const CnnSpec spec;
+  Rng rng(31);
+  Model model = make_cnn(spec, rng);
+  const std::size_t rows = 12;
+  std::uint64_t want = 0;
+  std::size_t in_c = 1;
+  std::size_t length = spec.input_length;
+  for (std::size_t out_c : spec.channels) {
+    want += 3 * 2 * out_c * (rows * length) * (in_c * spec.kernel);
+    in_c = out_c;
+    length /= spec.pool;
+  }
+  want += 3 * 2 * rows * (in_c * length) * spec.num_classes;
+  const GemmCount got =
+      count_train_step(model, rows, spec.input_length, spec.num_classes);
+  EXPECT_EQ(got.calls, 3 * (spec.channels.size() + 1));
+  EXPECT_EQ(got.flops, want);
+}
+
+TEST(GemmCounting, MlpTrainStepCountsThreeGemmsPerLinear) {
+  const MlpSpec spec{.input_dim = 32, .hidden = {96, 64}, .num_classes = 64};
+  Rng rng(37);
+  Model model = make_mlp(spec, rng);
+  const std::size_t rows = 24;
+  const std::uint64_t want =
+      3 * 2 * rows * (32 * 96 + 96 * 64 + 64 * 64);
+  const GemmCount got =
+      count_train_step(model, rows, spec.input_dim, spec.num_classes);
+  EXPECT_EQ(got.calls, 9U);
+  EXPECT_EQ(got.flops, want);
 }
 
 }  // namespace
