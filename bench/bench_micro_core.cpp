@@ -1,17 +1,23 @@
 // Google-benchmark microbenchmarks for the core primitives: exchange-plan
 // construction, full partial-local epochs, global permutation dealing,
-// GEMM and Conv1d under both kernel backends, and one simulated training
-// iteration (MLP and CNN). The *Ref variants pin the retained naive
-// kernels so blocked-vs-reference speedups can be read off one run;
-// tools/dshuf_bench records the same comparison as JSON.
+// ShardStore exchange epochs, the two-rank gradient allreduce, GEMM and
+// Conv1d under both kernel backends, and one simulated training iteration
+// (MLP and CNN). The *Ref variants pin the retained naive kernels so
+// blocked-vs-reference speedups can be read off one run; tools/dshuf_bench
+// records the same comparison as JSON.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <numeric>
 #include <string>
+#include <vector>
 
+#include "comm/comm.hpp"
 #include "data/synthetic.hpp"
 #include "nn/builder.hpp"
 #include "nn/conv.hpp"
 #include "nn/loss.hpp"
+#include "shuffle/shard_store.hpp"
 #include "shuffle/shuffler.hpp"
 #include "sim/overlap.hpp"
 #include "task/scheduler.hpp"
@@ -72,6 +78,78 @@ void BM_GlobalEpoch(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_GlobalEpoch)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
+
+// One rank's ShardStore through steady-state exchange epochs: stage a
+// quota in which every M-th id is a copy of one of the rank's own picks
+// (the self-round) and the rest come from peers, remove every pick's
+// first occurrence, then permute the shard as the local shuffle does.
+// Args: shard size, quota, ranks — dp_pls's shape, four times its shard,
+// and exchange_gs's. A removal that rescans for a self-sent copy makes the
+// cost per epoch grow with shard x quota instead of quota.
+void BM_ShardStoreExchangeEpoch(benchmark::State& state) {
+  const auto shard = static_cast<std::size_t>(state.range(0));
+  const auto quota = static_cast<std::size_t>(state.range(1));
+  const auto ranks = static_cast<std::size_t>(state.range(2));
+  std::vector<shuffle::SampleId> initial(shard);
+  std::iota(initial.begin(), initial.end(), shuffle::SampleId{0});
+  shuffle::ShardStore store(initial, shard + quota);
+  // Ids held by peers, drawn from as samples arrive and refilled as picks
+  // leave, so the id universe stays ranks x shard.
+  std::vector<shuffle::SampleId> away((ranks - 1) * shard);
+  std::iota(away.begin(), away.end(), static_cast<shuffle::SampleId>(shard));
+  std::vector<shuffle::SampleId> picks(quota);
+  Rng rng(11);
+  for (auto _ : state) {
+    std::copy_n(store.ids().begin(), quota, picks.begin());
+    for (std::size_t i = 0; i < quota; ++i) {
+      if (i % ranks == 0) {
+        store.add(picks[i]);
+      } else {
+        store.add(away.back());
+        away.pop_back();
+      }
+    }
+    for (std::size_t i = 0; i < quota; ++i) {
+      store.remove_id(picks[i]);
+      if (i % ranks != 0) away.push_back(picks[i]);
+    }
+    rng.shuffle(store.mutable_ids());
+    benchmark::DoNotOptimize(store.ids().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(quota));
+}
+BENCHMARK(BM_ShardStoreExchangeEpoch)
+    ->Args({13'312, 3'994, 2})
+    ->Args({53'248, 15'975, 2})
+    ->Args({4'096, 4'096, 4});
+
+// Allreduce of n doubles on two threaded ranks; rank 0 runs the timed loop
+// and rank 1 makes the same number of calls. CPU is the whole process's
+// (both ranks), wall is per call. n = 13,856 is the dp_pls gradient; n = 16
+// is close to synchronisation alone.
+void BM_AllreduceSum(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  comm::World world(2);
+  world.run([&](comm::Communicator& c) {
+    std::vector<double> in(n, 0.5 + c.rank());
+    std::vector<double> out(n);
+    if (c.rank() == 0) {
+      for (auto _ : state) {
+        c.allreduce_sum(in, out);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+      }
+    } else {
+      for (benchmark::IterationCount i = 0; i < state.max_iterations; ++i) {
+        c.allreduce_sum(in, out);
+      }
+    }
+  });
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_AllreduceSum)->Arg(13'856)->Arg(16)->MeasureProcessCPUTime();
 
 void run_gemm(benchmark::State& state, KernelBackend backend,
               void (*op)(const Tensor&, const Tensor&, Tensor&, bool)) {

@@ -109,17 +109,17 @@ int main(int argc, char** argv) {
         ce.forward(logits, y);
         model.backward(ce.grad());
 
-        // Gradient allreduce: sum over ranks, then average. All ranks
-        // compute the identical sum (deterministic reduction), so the
+        // Gradient allreduce, in place: sum over ranks, then average. All
+        // ranks receive the identical sum (deterministic reduction), so the
         // replicas never diverge.
         const auto local = model.gradients();
-        std::vector<double> contrib(local.begin(), local.end());
-        const auto total = c.allreduce_sum(contrib);
+        std::vector<double> grads(local.begin(), local.end());
+        c.allreduce_sum(grads, grads);
         auto params = model.params();
         std::size_t off = 0;
         for (auto* p : params) {
           for (auto& g : p->grad.vec()) {
-            g = static_cast<float>(total[off++] / ranks);
+            g = static_cast<float>(grads[off++] / ranks);
           }
         }
         opt.step();

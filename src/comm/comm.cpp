@@ -1,8 +1,10 @@
 #include "comm/comm.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <functional>
 #include <thread>
 
 #include "comm/fault.hpp"
@@ -460,22 +462,63 @@ std::optional<Message> Communicator::recv_for(
   return r.message();
 }
 
+namespace {
+
+/// True when two n-element buffers are the same or do not overlap.
+bool same_or_disjoint(const double* a, const double* b, std::size_t n) {
+  const std::less<const double*> before;
+  return a == b || !before(a, b + n) || !before(b, a + n);
+}
+
+}  // namespace
+
+void Communicator::allreduce_sum(std::span<const double> contribution,
+                                 std::span<double> out) {
+  const std::size_t n = contribution.size();
+  DSHUF_CHECK_EQ(out.size(), n,
+                 "allreduce result must have the contribution's length");
+  DSHUF_CHECK(same_or_disjoint(out.data(), contribution.data(), n),
+              "allreduce result may alias its contribution only exactly");
+  auto& slots = collective_slots().reduce;
+  slots[static_cast<std::size_t>(rank_)] = {contribution.data(), out.data(),
+                                            n};
+  barrier();
+  // Every rank sees every length before any rank writes into a peer's
+  // buffer, so a mismatch throws everywhere and no rank is left writing
+  // into memory whose owner has unwound.
+  for (const auto& s : slots) {
+    DSHUF_CHECK_EQ(s.size, n,
+                   "allreduce contributions must have equal length");
+  }
+  // Rank r owns elements [lo, hi): it reads all M addends of a block
+  // before writing the block's sums into every rank's result. No two
+  // ranks touch the same element, so a result that is its contribution
+  // is read before it is overwritten.
+  const auto m = static_cast<std::size_t>(size());
+  const auto r = static_cast<std::size_t>(rank_);
+  const std::size_t lo = n * r / m;
+  const std::size_t hi = n * (r + 1) / m;
+  constexpr std::size_t kBlock = 256;
+  double acc[kBlock];
+  for (std::size_t b = lo; b < hi; b += kBlock) {
+    const std::size_t len = std::min(kBlock, hi - b);
+    // The chain starts at +0.0, not at rank 0's addend: +0.0 + (-0.0) is
+    // +0.0, and DESIGN.md §6 fixes the chain every caller's bits rest on.
+    const double* first = slots[0].contribution + b;
+    for (std::size_t i = 0; i < len; ++i) acc[i] = 0.0 + first[i];
+    for (std::size_t q = 1; q < m; ++q) {
+      const double* src = slots[q].contribution + b;
+      for (std::size_t i = 0; i < len; ++i) acc[i] += src[i];
+    }
+    for (const auto& s : slots) std::copy_n(acc, len, s.out + b);
+  }
+  barrier();  // every result complete, no peer still reads a contribution
+}
+
 std::vector<double> Communicator::allreduce_sum(
     std::span<const double> contribution) {
-  auto& slots = collective_slots().reduce;
-  slots[static_cast<std::size_t>(rank_)].assign(contribution.begin(),
-                                                contribution.end());
-  barrier();
-  // Every rank computes the sum itself (deterministic rank-order
-  // accumulation, so all ranks agree bit-for-bit).
-  std::vector<double> out(contribution.size(), 0.0);
-  for (int r = 0; r < size(); ++r) {
-    const auto& c = slots[static_cast<std::size_t>(r)];
-    DSHUF_CHECK_EQ(c.size(), out.size(),
-                   "allreduce contributions must have equal length");
-    for (std::size_t i = 0; i < out.size(); ++i) out[i] += c[i];
-  }
-  barrier();  // slots reusable after everyone has read
+  std::vector<double> out(contribution.size());
+  allreduce_sum(contribution, out);
   return out;
 }
 

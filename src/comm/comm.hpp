@@ -84,7 +84,14 @@ struct RequestState {
 /// Shared storage for the slot-and-barrier collectives. Both backends own
 /// one; the base Communicator implements every collective against it.
 struct CollectiveSlots {
-  std::vector<std::vector<double>> reduce;
+  /// What a rank publishes for allreduce_sum: its own buffers, which every
+  /// rank then reads and writes in place.
+  struct ReduceBuffers {
+    const double* contribution = nullptr;
+    double* out = nullptr;
+    std::size_t size = 0;
+  };
+  std::vector<ReduceBuffers> reduce;
   std::vector<std::vector<std::byte>> bcast;
   std::vector<std::vector<std::vector<std::byte>>> a2a;
 
@@ -203,7 +210,19 @@ class Communicator {
   /// virtual time would stand still beneath them.
   virtual void backoff(std::chrono::microseconds pause) = 0;
 
-  /// Element-wise sum allreduce over doubles (gradient-exchange analogue).
+  /// Element-wise sum allreduce over doubles (gradient-exchange analogue):
+  /// every rank's `out` receives, per element, +0.0 plus each rank's
+  /// addend in rank order. A reduce-scatter and allgather over the
+  /// published buffers: rank r sums the r-th of M chunks and writes it into
+  /// every rank's `out`, so each rank reads and writes n elements and
+  /// nothing is copied or allocated. `out` may be `contribution` itself
+  /// (an in-place reduction) but must not otherwise overlap it. Lengths
+  /// must agree across ranks; a mismatch throws on every rank before any
+  /// rank writes.
+  void allreduce_sum(std::span<const double> contribution,
+                     std::span<double> out);
+
+  /// The same into a freshly allocated result.
   std::vector<double> allreduce_sum(std::span<const double> contribution);
 
   /// Broadcast from root: root's payload is returned on every rank.

@@ -8,16 +8,21 @@
 // (1+Q)-fold capacity, and the store records it so tests and benches can
 // verify the bound.
 //
-// Removal is indexed: a pluggable io::SlotIndex mapping id -> packed
-// (first index << 32 | count) makes remove_id amortized O(1) instead of
-// a linear scan, while keeping the observable ids() sequence
-// bit-identical to the scan-based removal (first occurrence replaced by
-// the last element). The backend follows the process-wide
-// io::slot_index_kind() — open-addressing by default, or the learned
-// piecewise-linear index under ScopedSlotIndex — and is (re)built lazily:
-// handing out mutable_ids() invalidates it, so a steady-state epoch
-// (shuffle, add quota, remove quota) costs one O(n) rebuild plus O(1)
-// per operation and, once warmed, no allocation.
+// Removal is indexed: a pluggable io::SlotIndex maps each id to its first
+// occurrence and, while the store holds it twice, to where the second
+// copy sits. remove_id and remove_slot then cost O(1) for any id held at
+// most twice — the only case a PLS exchange or shuffler creates (a
+// self-round stages a copy of a held sample before the original is
+// removed). Only removing an id held three or more times scans forward,
+// O(n), for the copies the index does not track. The observable ids()
+// sequence is bit-identical to the scan-based removal (first occurrence
+// replaced by the last element).
+// The backend follows the process-wide io::slot_index_kind() —
+// open-addressing by default, or the learned piecewise-linear index under
+// ScopedSlotIndex — and is (re)built lazily: handing out mutable_ids()
+// invalidates it, so a steady-state epoch (shuffle, add quota, remove
+// quota) costs one O(n) rebuild plus O(1) per operation and, once warmed,
+// no allocation.
 #pragma once
 
 #include <cstddef>
@@ -85,13 +90,17 @@ class ShardStore {
   void index_add(SampleId id, std::size_t pos);
   /// Swap-with-last removal of ids_[j] with full index maintenance.
   void remove_at(std::size_t j);
+  /// Re-index an id still held `count` >= 2 times whose copies all lie at
+  /// or after `from`.
+  void rescan(SampleId id, std::size_t from, std::uint32_t count);
 
   std::vector<SampleId> ids_;
   std::size_t capacity_ = 0;
   std::size_t peak_ = 0;
 
-  // id -> (first occurrence << 32) | live count, behind the pluggable
-  // backend. Null until the first indexed removal needs it.
+  // id -> (first occurrence << 32) | copy count and second position (see
+  // shard_store.cpp), behind the pluggable backend. Null until the first
+  // indexed removal needs it.
   std::unique_ptr<io::SlotIndex> index_;
   bool index_dirty_ = true;
 };

@@ -10,7 +10,7 @@
 #include "shuffle/exchange_wire.hpp"
 #include "shuffle/shuffler.hpp"
 #include "task/scheduler.hpp"
-#include "tensor/gemm_kernel.hpp"
+#include "tensor/tensor.hpp"
 #include "util/error.hpp"
 
 namespace dshuf::sim {
@@ -41,9 +41,9 @@ void gemm_burn(std::size_t n, std::size_t reps, int rank) {
     bmat[i] = static_cast<float>((i * 7U + 3U * r) % 13U) * 0.125F - 0.75F;
   }
   for (std::size_t rep = 0; rep < reps; ++rep) {
-    kernel::gemm_blocked(a.data(), bmat.data(), c.data(), n, n, n,
-                         /*a_transposed=*/false, /*b_transposed=*/false,
-                         /*accumulate=*/rep > 0);
+    gemm_raw(a.data(), bmat.data(), c.data(), n, n, n,
+             /*a_transposed=*/false, /*b_transposed=*/false,
+             /*accumulate=*/rep > 0);
   }
   DSHUF_CHECK(n == 0 || std::isfinite(c[0]), "gemm burn diverged");
 }

@@ -3,12 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic.hpp"
+#include "gemm_count.hpp"
 #include "gradcheck.hpp"
 #include "nn/builder.hpp"
 #include "nn/loss.hpp"
 #include "nn/metrics.hpp"
 #include "nn/optimizer.hpp"
-#include "obs/metrics.hpp"
 
 namespace dshuf::nn {
 namespace {
@@ -178,11 +178,6 @@ TEST(MakeCnn, RejectsNonDividingPool) {
   EXPECT_THROW(make_cnn(spec, rng), CheckError);
 }
 
-struct GemmCount {
-  std::uint64_t calls = 0;
-  std::uint64_t flops = 0;
-};
-
 /// tensor.gemm.calls / tensor.gemm.flops added by one training step.
 GemmCount count_train_step(Model& model, std::size_t rows,
                            std::size_t features, std::size_t classes) {
@@ -192,15 +187,12 @@ GemmCount count_train_step(Model& model, std::size_t rows,
   for (std::size_t i = 0; i < rows; ++i) {
     y[i] = static_cast<std::uint32_t>(i % classes);
   }
-  auto& reg = obs::Registry::instance();
-  const GemmCount before{reg.counter("tensor.gemm.calls").value(),
-                         reg.counter("tensor.gemm.flops").value()};
+  const GemmCount before = gemm_count();
   SoftmaxCrossEntropy ce;
   model.zero_grad();
   (void)ce.forward(model.forward(x, /*training=*/true), y);
   model.backward(ce.grad());
-  return {reg.counter("tensor.gemm.calls").value() - before.calls,
-          reg.counter("tensor.gemm.flops").value() - before.flops};
+  return gemm_count() - before;
 }
 
 TEST(GemmCounting, CnnTrainStepCountsEveryConvAndLinearGemm) {

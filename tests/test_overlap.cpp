@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "chaos_harness.hpp"
+#include "gemm_count.hpp"
 #include "obs/overlap.hpp"
 #include "obs/trace.hpp"
 #include "sim/overlap.hpp"
@@ -179,6 +180,24 @@ TEST(OverlapSchedule, OverlappedUnderTaskSchedulerStillMatches) {
               chaos::sequential_reference(matching_chaos_config(cfg)))
         << "seed " << seed;
   }
+}
+
+// The default compute phase is a counted GEMM burn: one overlapped run
+// raises tensor.gemm.* by exactly its burns, compute_reps n x n x n GEMMs
+// per rank and epoch at 2n^3 flops each.
+TEST(OverlapSchedule, GemmBurnIsCountedInTensorGemmCounters) {
+  auto cfg = tiny_overlap_config();
+  cfg.compute = nullptr;
+  cfg.compute_gemm_n = 24;
+  cfg.compute_reps = 3;
+  const GemmCount before = gemm_count();
+  (void)sim::run_overlapped_epochs(cfg);
+  const GemmCount got = gemm_count() - before;
+  const std::uint64_t calls = static_cast<std::uint64_t>(cfg.ranks) *
+                              cfg.epochs * cfg.compute_reps;
+  const std::uint64_t n = cfg.compute_gemm_n;
+  EXPECT_EQ(got.calls, calls);
+  EXPECT_EQ(got.flops, calls * 2 * n * n * n);
 }
 
 // --- chaos under overlap ----------------------------------------------

@@ -1,6 +1,7 @@
 #include "shuffle/shard_store.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include <gtest/gtest.h>
 
@@ -154,6 +155,54 @@ TEST(ShardStoreIndex, ManyDuplicatesOfOneId) {
   s.remove_id(5);
   EXPECT_TRUE(s.ids().empty());
   EXPECT_THROW(s.remove_id(5), CheckError);
+}
+
+// The exchange's own pattern at dp_pls size, under both index backends:
+// each epoch a 13,312-id shard stages a 3,994-id quota — copies of every
+// other pick (the self-round) interleaved with fresh ids from peers — then
+// removes each pick's first occurrence and is permuted by the local
+// shuffle. Removing a self-sent pick leaves its staged copy behind, which
+// is the case the index's second-copy position exists for.
+TEST(ShardStoreIndex, MatchesLinearScanReferenceOnExchangeEpochs) {
+  constexpr std::size_t kShard = 13'312;
+  constexpr std::size_t kQuota = 3'994;
+  for (const io::SlotIndexKind kind :
+       {io::SlotIndexKind::kOpenAddressing, io::SlotIndexKind::kLearned}) {
+    io::ScopedSlotIndex scoped(kind);
+    std::vector<SampleId> initial(kShard);
+    std::iota(initial.begin(), initial.end(), SampleId{0});
+    ShardStore store(initial, kShard + kQuota);
+    ReferenceStore ref(initial);
+    auto fresh = static_cast<SampleId>(kShard);
+    Rng rng(4242);
+    std::vector<std::size_t> slots(kShard);
+    for (std::uint64_t epoch = 0; epoch < 3; ++epoch) {
+      std::iota(slots.begin(), slots.end(), std::size_t{0});
+      rng.shuffle(slots);
+      std::vector<SampleId> picks(kQuota);
+      for (std::size_t i = 0; i < kQuota; ++i) picks[i] = ref.ids()[slots[i]];
+      for (std::size_t i = 0; i < kQuota; ++i) {
+        const SampleId id = i % 2 == 0 ? picks[i] : fresh++;
+        store.add(id);
+        ref.add(id);
+        ASSERT_EQ(store.ids(), ref.ids())
+            << io::to_string(kind) << " epoch " << epoch << " add " << i;
+      }
+      // Picks leave in an order unrelated to the one their copies arrived in.
+      rng.shuffle(picks);
+      for (std::size_t i = 0; i < kQuota; ++i) {
+        store.remove_id(picks[i]);
+        ref.remove_id(picks[i]);
+        ASSERT_EQ(store.ids(), ref.ids())
+            << io::to_string(kind) << " epoch " << epoch << " remove " << i;
+      }
+      Rng perm(epoch);
+      perm.shuffle(store.mutable_ids());
+      Rng perm2(epoch);
+      perm2.shuffle(ref.mutable_ids());
+    }
+    EXPECT_EQ(store.size(), kShard);
+  }
 }
 
 // The removal index rides on io::SlotIndex: under the learned backend
