@@ -52,15 +52,16 @@ int main(int argc, char** argv) {
   const int groups = 4;
   const int gsize = 8;
   const shuffle::ExchangePlan flat(7, 0, groups * gsize, quota);
-  const shuffle::HierarchicalExchangePlan hier(7, 0, groups, gsize, quota,
-                                               0.5);
+  shuffle::ExchangePlan hier;
+  hier.rebuild_grouped(7, 0, groups, gsize, quota, 0.5);
   for (double fabric_gbps : {2.0, 5.0, 10.0, 40.0}) {
     LinkCaps caps = nic_only;
     caps.fabric_bps = fabric_gbps * 1e9;
     const auto f = simulate_flows(flows_from_plan(flat, bytes), caps,
                                   groups * gsize);
-    const auto hr = simulate_flows(flows_from_hierarchical_plan(hier, bytes),
-                                   caps, groups * gsize);
+    const auto hr = simulate_flows(
+        flows_from_hierarchical_plan(hier, gsize, bytes), caps,
+        groups * gsize);
     h.row({fmt_double(fabric_gbps, 0), fmt_double(f.makespan_s * 1e3, 2),
            fmt_double(hr.makespan_s * 1e3, 2),
            fmt_double(f.makespan_s / hr.makespan_s, 2) + "x"});

@@ -43,6 +43,7 @@
 #include "netsim/virtual_comm.hpp"
 #include "shuffle/exchange_plan.hpp"
 #include "shuffle/mpi_exchange.hpp"
+#include "shuffle/shuffler.hpp"
 #include "shuffle/topology.hpp"
 #include "util/argparse.hpp"
 #include "util/error.hpp"

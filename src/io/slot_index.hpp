@@ -46,7 +46,7 @@ std::string to_string(SlotIndexKind kind);
 [[nodiscard]] SlotIndexKind slot_index_kind();
 void set_slot_index_kind(SlotIndexKind kind);
 
-/// RAII backend switch for tests/benches, mirroring ScopedExchangeWire.
+/// RAII backend switch for tests/benches, mirroring ScopedKernelBackend.
 class ScopedSlotIndex {
  public:
   explicit ScopedSlotIndex(SlotIndexKind kind) : prev_(slot_index_kind()) {

@@ -294,14 +294,16 @@ std::vector<Flow> flows_from_plan(const shuffle::ExchangePlan& plan,
 }
 
 std::vector<Flow> flows_from_hierarchical_plan(
-    const shuffle::HierarchicalExchangePlan& plan, double bytes_per_sample) {
+    const shuffle::ExchangePlan& plan, int group_size,
+    double bytes_per_sample) {
+  DSHUF_CHECK_GT(group_size, 0, "need at least one rank per group");
   std::vector<Flow> flows;
   flows.reserve(plan.rounds() * static_cast<std::size_t>(plan.workers()));
   for (std::size_t i = 0; i < plan.rounds(); ++i) {
     for (int r = 0; r < plan.workers(); ++r) {
       const int d = plan.dest(i, r);
       flows.push_back(Flow{r, d, bytes_per_sample, 0.0,
-                           plan.group_of(r) != plan.group_of(d)});
+                           r / group_size != d / group_size});
     }
   }
   return flows;

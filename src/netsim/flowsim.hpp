@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "shuffle/exchange_plan.hpp"
-#include "shuffle/hierarchical.hpp"
 
 namespace dshuf::netsim {
 
@@ -74,10 +73,12 @@ SimOutcome simulate_flows_reference(const std::vector<Flow>& flows,
 std::vector<Flow> flows_from_plan(const shuffle::ExchangePlan& plan,
                                   double bytes_per_sample);
 
-/// Flows for the hierarchical plan: intra-group messages bypass the
+/// Flows for a grouped plan (ExchangePlan::rebuild_grouped) whose groups
+/// hold `group_size` contiguous ranks: intra-group messages bypass the
 /// fabric (they ride node-local links).
 std::vector<Flow> flows_from_hierarchical_plan(
-    const shuffle::HierarchicalExchangePlan& plan, double bytes_per_sample);
+    const shuffle::ExchangePlan& plan, int group_size,
+    double bytes_per_sample);
 
 /// Flows for the naive uncontrolled exchange: `quota` messages per rank
 /// to independently random destinations (seeded).

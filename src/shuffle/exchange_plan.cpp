@@ -53,10 +53,9 @@ void ExchangePlan::rebuild_grouped(std::uint64_t seed, std::size_t epoch,
               "intra fraction must be in [0, 1]");
   workers_ = groups * group_size;
   Rng base(seed);
-  // Same stream tag and draw order as HierarchicalExchangePlan: per round,
-  // one group permutation (inter rounds only — intra rounds build the
-  // identity without consuming draws), then one local permutation per
-  // source group.
+  // Per round: one group permutation (inter rounds only — intra rounds
+  // build the identity without consuming draws), then one local
+  // permutation per source group.
   Rng stream = base.fork(0x41E2, epoch);
 
   const auto m = static_cast<std::size_t>(workers_);
@@ -141,7 +140,7 @@ std::uint64_t g_plan_stamp = 0;            // guarded by g_plan_cache_mu
 std::uint64_t g_plan_builds = 0;           // guarded by g_plan_cache_mu
 
 void build_plan(const PlanSpec& spec, ExchangePlan& plan) {
-  if (spec.groups > 1 && spec.group_size > 0) {
+  if (spec.groups > 1) {
     plan.rebuild_grouped(spec.seed, spec.epoch, spec.groups, spec.group_size,
                          spec.quota, spec.intra_fraction);
   } else {
@@ -150,6 +149,25 @@ void build_plan(const PlanSpec& spec, ExchangePlan& plan) {
 }
 
 }  // namespace
+
+PlanSpec plan_spec_for(std::uint64_t seed, std::size_t epoch, int workers,
+                       std::size_t quota,
+                       const std::optional<Topology>& topology) {
+  PlanSpec spec;
+  spec.seed = seed;
+  spec.epoch = epoch;
+  spec.workers = workers;
+  spec.quota = quota;
+  if (topology) {
+    const Topology t = topology->resolved_for(workers);
+    if (t.groups > 1) {
+      spec.groups = t.groups;
+      spec.group_size = t.group_size;
+      spec.intra_fraction = t.intra_fraction;
+    }
+  }
+  return spec;
+}
 
 SharedPlan& SharedPlan::operator=(SharedPlan&& other) noexcept {
   if (this != &other) {

@@ -20,6 +20,7 @@
 #include <memory>
 #include <vector>
 
+#include "shuffle/topology.hpp"
 #include "util/rng.hpp"
 
 namespace dshuf::shuffle {
@@ -50,10 +51,9 @@ class ExchangePlan {
   /// guarantee is untouched), but each is the product of a group-level
   /// permutation and per-source-group local-slot permutations, with the
   /// first round(intra_fraction * quota) rounds using the identity group
-  /// permutation. Draw-for-draw identical to HierarchicalExchangePlan with
-  /// the same arguments — the property suite asserts the tables match bit
-  /// for bit — so the message-passing exchange and the sequential
-  /// hierarchical driver stay equivalent.
+  /// permutation. Draw-for-draw identical to the independently written
+  /// oracle in tests/hierarchical_plan_oracle.hpp — the property suite
+  /// asserts the tables match bit for bit.
   void rebuild_grouped(std::uint64_t seed, std::size_t epoch, int groups,
                        int group_size, std::size_t per_worker_quota,
                        double intra_fraction);
@@ -92,8 +92,8 @@ class ExchangePlan {
   std::vector<std::uint32_t> gperm_;  // grouped-rebuild scratch
 };
 
-/// Everything that determines one epoch's plan. groups <= 1 (or group_size
-/// == 0) means the flat Algorithm-1 plan; otherwise the grouped one.
+/// Everything that determines one epoch's plan. groups <= 1 means the flat
+/// Algorithm-1 plan; otherwise the grouped one.
 struct PlanSpec {
   std::uint64_t seed = 0;
   std::size_t epoch = 0;
@@ -105,6 +105,15 @@ struct PlanSpec {
 
   friend bool operator==(const PlanSpec&, const PlanSpec&) = default;
 };
+
+/// The spec of `epoch`'s plan for `workers` ranks: the grouped plan when
+/// `topology` has more than one group, the flat Algorithm-1 plan otherwise
+/// (no topology, or a single group spanning every rank). Both drivers
+/// derive their plans here. Checks the topology's shape against
+/// `workers`.
+[[nodiscard]] PlanSpec plan_spec_for(std::uint64_t seed, std::size_t epoch,
+                                     int workers, std::size_t quota,
+                                     const std::optional<Topology>& topology);
 
 /// A reference to one epoch's plan in the process-wide plan cache (see
 /// acquire_exchange_plan). The plan stays immutable while any SharedPlan

@@ -1,23 +1,23 @@
 // Per-epoch tag-space helpers for the PLS exchange.
 //
 // Tag layout: each epoch owns a disjoint window of 2 * (quota + workers)
-// tags starting at epoch_tag_base(). The window has two regions:
+// tags starting at epoch_tag_base(). The coalesced frame ORIGINATING at
+// rank p travels on base + 2*quota + 2p, its acknowledgement on the
+// adjacent odd tag. Keying frame tags by the DATA frame's origin (not the
+// destination) lets the receiver match "the frame from peer p" with a
+// plain (source, tag) receive, and the sender match p's ACK of its own
+// frame the same way.
 //
-//   * per-sample region (ExchangeWire::kPerSample): round i's sample
-//     travels on the even tag base + 2i, its acknowledgement on the
-//     adjacent odd tag;
-//   * per-peer frame region (ExchangeWire::kCoalesced): the coalesced
-//     frame ORIGINATING at rank p travels on base + 2*quota + 2p, its
-//     acknowledgement on the adjacent odd tag. Keying frame tags by the
-//     DATA frame's origin (not the destination) lets the receiver match
-//     "the frame from peer p" with a plain (source, tag) receive, and the
-//     sender match p's ACK of its own frame the same way.
+// The first 2*quota tags of every window are reserved and unused (they
+// carried the retired one-message-per-sample wire). They stay reserved
+// because the fault injector decides each message's fate from a hash of
+// (source, dest, tag, attempt) (comm/fault.hpp): moving the frame tags
+// would reseed every recorded chaos schedule.
 //
-// Disjoint per round, per peer AND per epoch, so duplicate copies,
-// retransmissions, and stale messages that escape an epoch's drain can
-// never match another round's, peer's, or epoch's receive — an escapee is
-// caught by World::check_drained instead of silently corrupting the
-// exchange.
+// Disjoint per peer AND per epoch, so duplicate copies, retransmissions,
+// and stale messages that escape an epoch's drain can never match another
+// peer's or epoch's receive — an escapee is caught by World::check_drained
+// instead of silently corrupting the exchange.
 //
 // Every isend/irecv in exchange code must derive its tag through these
 // helpers; dshuf_lint (tools/dshuf_lint) rejects raw tag literals.
@@ -30,7 +30,7 @@
 
 namespace dshuf::shuffle {
 
-/// Width of one epoch's tag window: 2*quota per-sample tags followed by
+/// Width of one epoch's tag window: 2*quota reserved tags followed by
 /// 2*workers per-peer frame tags.
 [[nodiscard]] inline std::uint64_t epoch_tag_span(std::size_t quota,
                                                   int workers) {
@@ -50,16 +50,6 @@ namespace dshuf::shuffle {
   return base;
 }
 
-/// Tag carrying round `round`'s sample payload (per-sample wire mode).
-[[nodiscard]] inline int data_tag(std::uint64_t tag_base, std::size_t round) {
-  return static_cast<int>(tag_base + 2 * round);
-}
-
-/// Tag carrying round `round`'s acknowledgement (per-sample wire mode).
-[[nodiscard]] inline int ack_tag(std::uint64_t tag_base, std::size_t round) {
-  return static_cast<int>(tag_base + 2 * round + 1);
-}
-
 /// Tag carrying the coalesced DATA frame that rank `origin` sends this
 /// epoch (one frame per destination peer, all on the origin's tag — the
 /// receiver disambiguates by source rank).
@@ -74,23 +64,6 @@ namespace dshuf::shuffle {
 [[nodiscard]] inline int frame_ack_tag(std::uint64_t tag_base,
                                        std::size_t quota, int origin) {
   return frame_data_tag(tag_base, quota, origin) + 1;
-}
-
-/// True iff `tag` is a per-sample DATA tag inside this epoch's window;
-/// used by the stray drain to classify late duplicates.
-[[nodiscard]] inline bool is_epoch_data_tag(int tag, std::uint64_t tag_base,
-                                            std::size_t quota) {
-  if (tag < 0) return false;
-  const auto t = static_cast<std::uint64_t>(tag);
-  return t >= tag_base && t < tag_base + 2 * quota && (t - tag_base) % 2 == 0;
-}
-
-/// Round index of a per-sample DATA tag; only valid when
-/// is_epoch_data_tag(tag, ...).
-[[nodiscard]] inline std::size_t round_of_data_tag(int tag,
-                                                   std::uint64_t tag_base) {
-  return static_cast<std::size_t>(
-      (static_cast<std::uint64_t>(tag) - tag_base) / 2);
 }
 
 /// True iff `tag` is a coalesced-frame DATA tag inside this epoch's

@@ -1,16 +1,10 @@
 #include "shuffle/exchange_wire.hpp"
 
-#include <atomic>
 #include <cstring>
 
 namespace dshuf::shuffle {
 
 namespace {
-
-// Acquire/release atomic (see the thread-model note in exchange_wire.hpp):
-// the flip publishes with release and every epoch reads it exactly once
-// at dispatch with acquire, so one exchange epoch never straddles a flip.
-std::atomic<ExchangeWire> g_wire{ExchangeWire::kCoalesced};
 
 void put_u32(std::vector<std::byte>& buf, std::size_t at, std::uint32_t v) {
   std::memcpy(buf.data() + at, &v, sizeof(v));
@@ -32,18 +26,6 @@ std::uint32_t read_u32(const std::byte* p) {
 }
 
 }  // namespace
-
-ExchangeWire exchange_wire() {
-  return g_wire.load(std::memory_order_acquire);
-}
-
-void set_exchange_wire(ExchangeWire wire) {
-  g_wire.store(wire, std::memory_order_release);
-}
-
-const char* to_string(ExchangeWire wire) {
-  return wire == ExchangeWire::kPerSample ? "per-sample" : "coalesced";
-}
 
 FrameWriter::FrameWriter(std::vector<std::byte>& buf, std::uint64_t epoch,
                          int origin, std::uint64_t flow_id,

@@ -1,16 +1,10 @@
-// Wire formats for the PLS exchange, and the runtime switch between them.
+// Wire format of the PLS exchange: the coalesced frame.
 //
-// ExchangeWire::kPerSample is the original encoding: every round travels
-// as its own message (4-byte SampleId + payload), costing `quota` messages
-// per peer-pair per epoch. ExchangeWire::kCoalesced packs ALL of an
-// epoch's rounds bound for peer p into ONE frame, so the per-message costs
-// (mailbox hop, matching scan, allocation) are paid once per PEER instead
-// of once per SAMPLE. The switch mirrors the KernelBackend pattern
-// (tensor/tensor.hpp): a process-wide mode with a scoped override, so the
-// equivalence suite can run the same exchange under both wires and assert
-// bit-identical shards.
+// All of an epoch's rounds bound for peer p travel as ONE frame, so the
+// per-message costs (mailbox hop, matching scan, allocation) are paid once
+// per PEER instead of once per SAMPLE. It is the exchange's only wire.
 //
-// Coalesced frame layout, v2 (little-endian, no padding):
+// Frame layout, v2 (little-endian, no padding):
 //
 //   offset  size            field
 //   ------  --------------  ------------------------------------------
@@ -53,46 +47,6 @@
 
 namespace dshuf::shuffle {
 
-enum class ExchangeWire {
-  kPerSample,  ///< one message per round (the original encoding)
-  kCoalesced,  ///< one frame per peer per epoch (default)
-};
-
-/// Process-wide wire mode used by run_pls_exchange_epoch.
-///
-/// Thread model: an atomic with release/acquire semantics, mirroring
-/// KernelBackend (tensor/tensor.hpp). run_pls_exchange_epoch reads the
-/// mode exactly ONCE at entry, so a single epoch's exchange never tears
-/// across a concurrent flip — every rank that started epoch e under wire
-/// W completes it under W. A flip is only OBSERVED at a deterministic
-/// point when ranks agree on it, so flip between epochs from the driving
-/// thread (e.g. before World::run, whose spawn gives the happens-before
-/// edge); flipping mid-epoch from an unrelated thread is memory-safe but
-/// different ranks may then run different wires within one epoch, which
-/// the frame parser rejects — and, without the robust protocol, a rank
-/// can be left waiting for a message its mixed-wire peer never sent, so
-/// liveness under such flips additionally requires an
-/// ExchangeRobustness recv deadline.
-[[nodiscard]] ExchangeWire exchange_wire();
-void set_exchange_wire(ExchangeWire wire);
-[[nodiscard]] const char* to_string(ExchangeWire wire);
-
-/// RAII override, restoring the previous mode on destruction. Set it
-/// BEFORE World::run — rank threads read the global mode (see the thread
-/// model above).
-class ScopedExchangeWire {
- public:
-  explicit ScopedExchangeWire(ExchangeWire wire) : prev_(exchange_wire()) {
-    set_exchange_wire(wire);
-  }
-  ~ScopedExchangeWire() { set_exchange_wire(prev_); }
-  ScopedExchangeWire(const ScopedExchangeWire&) = delete;
-  ScopedExchangeWire& operator=(const ScopedExchangeWire&) = delete;
-
- private:
-  ExchangeWire prev_;
-};
-
 /// Fixed part of a frame: epoch + origin + flow id + count + the
 /// (count+1)-entry offset table.
 [[nodiscard]] constexpr std::size_t frame_header_bytes(std::size_t count) {
@@ -116,20 +70,6 @@ inline constexpr std::size_t kFrameOffsetsOff = 24;
                                                     int origin, int dest) {
   return (epoch << 26) | (static_cast<std::uint64_t>(origin) << 13) |
          static_cast<std::uint64_t>(dest);
-}
-
-/// Flow id for round `round`'s per-sample message from `origin`. The
-/// per-sample wire carries no extra context bytes: the id is derived from
-/// the tag namespace (tag_base encodes the epoch, data_tag the round) plus
-/// the message's source rank, all of which the receiver already has — so
-/// both endpoints compute the identical id, and a retransmission (same
-/// tag, same source) propagates the same context. Bit 63 keeps the
-/// per-sample id space disjoint from frame_flow_id's.
-[[nodiscard]] constexpr std::uint64_t sample_flow_id(std::uint64_t tag_base,
-                                                     std::size_t round,
-                                                     int origin) {
-  return (1ull << 63) | ((tag_base + 2 * round) << 13) |
-         static_cast<std::uint64_t>(origin);
 }
 
 /// Incremental frame encoder writing into a caller-provided buffer

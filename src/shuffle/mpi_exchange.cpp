@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <span>
 
 #include "obs/metrics.hpp"
@@ -17,44 +16,14 @@ namespace dshuf::shuffle {
 
 namespace {
 
-// Per-sample wire encoding: 4-byte SampleId followed by the payload,
-// appended by the PayloadFn straight into the (pooled) wire buffer — one
-// buffer per message, no intermediate payload vector.
-void encode_sample_into(SampleId id, const PayloadFn& payload,
-                        std::vector<std::byte>& wire) {
-  wire.resize(sizeof(SampleId));
-  std::memcpy(wire.data(), &id, sizeof(SampleId));
-  if (payload) payload(id, wire);
-}
-
-SampleId decode_sample_id(const std::vector<std::byte>& buf) {
-  DSHUF_CHECK_GE(buf.size(), sizeof(SampleId), "short exchange message");
-  SampleId id = 0;
-  std::memcpy(&id, buf.data(), sizeof(SampleId));
-  return id;
-}
-
 // Point s.plan at this epoch's plan in the process-wide cache, which
 // builds it once for all ranks. The shape comes from the process-wide
-// topology policy: flat Algorithm-1 permutations when none is set, the
-// grouped hierarchical plan otherwise.
+// topology policy (see plan_spec_for).
 const ExchangePlan& plan_for_epoch(std::uint64_t seed, std::size_t epoch,
                                    int m, std::size_t quota,
                                    ExchangeScratch& s) {
-  PlanSpec spec;
-  spec.seed = seed;
-  spec.epoch = epoch;
-  spec.workers = m;
-  spec.quota = quota;
-  if (const auto topo = exchange_topology()) {
-    const Topology t = topo->resolved_for(m);
-    if (t.groups > 1) {
-      spec.groups = t.groups;
-      spec.group_size = t.group_size;
-      spec.intra_fraction = t.intra_fraction;
-    }
-  }
-  acquire_exchange_plan(spec, s.plan);
+  acquire_exchange_plan(
+      plan_spec_for(seed, epoch, m, quota, exchange_topology()), s.plan);
   return *s.plan;
 }
 
@@ -209,297 +178,12 @@ std::size_t stage_frames_in_round_order(ShardStore& store, std::size_t quota,
   return staged;
 }
 
-// ------------------------------------------------------------ fast paths --
-
-// Fire-and-wait, one message per round (the original wire). Rewritten on
-// the pooled-buffer data path: each message's buffer comes from the pool
-// and returns to the receiver's pool after staging.
-ExchangeOutcome run_fast_per_sample(comm::Communicator& comm,
-                                    ShardStore& store, std::size_t epoch,
-                                    const PayloadFn& payload,
-                                    const DepositFn& deposit,
-                                    ExchangeScratch& s) {
-  const int rank = comm.rank();
-  const int m = comm.size();
-  const std::size_t quota = s.outgoing.size();
-  const std::uint64_t tag_base = epoch_tag_base(epoch, quota, m);
-  const ExchangePlan& plan = *s.plan;
-
-  ExchangeOutcome out;
-  out.rounds = quota;
-
-  auto& tracer = obs::Tracer::instance();
-
-  // Algorithm 1 lines 2-6: send the p[i]-th sample to dest_i[rank]. Tag =
-  // round index keeps rounds aligned across ranks.
-  for (std::size_t i = 0; i < quota; ++i) {
-    const int dest = plan.dest(i, rank);
-    auto wire = comm.pool().acquire(sizeof(SampleId) + s.payload_high_water);
-    encode_sample_into(s.outgoing[i], payload, wire);
-    const std::size_t body = wire.size() - sizeof(SampleId);
-    if (body > s.payload_high_water) s.payload_high_water = body;
-    out.bytes_header += sizeof(SampleId);
-    out.bytes_body += body;
-    out.bytes_sent += wire.size();
-    out.bytes_offered += wire.size();
-    ++out.msgs_sent;
-    if (tracer.enabled()) {
-      tracer.flow_point("exchange.sample", sample_flow_id(tag_base, i, rank),
-                        obs::FlowPhase::kSend,
-                        {{"epoch", std::to_string(epoch)}});
-    }
-    comm.send(dest, data_tag(tag_base, i), std::move(wire));
-  }
-
-  // Line 7: collect each round's sample (blocking; sends above already
-  // completed locally, so no rank can deadlock here) and stage it in round
-  // order — identical store-append order to the sequential driver.
-  for (std::size_t i = 0; i < quota; ++i) {
-    comm::Message msg = comm.recv(comm::kAnySource, data_tag(tag_base, i));
-    if (tracer.enabled()) {
-      // The per-sample wire carries no context bytes: (source, tag)
-      // re-derive the sender's flow id exactly.
-      tracer.flow_point("exchange.sample",
-                        sample_flow_id(tag_base, i, msg.source),
-                        obs::FlowPhase::kFinish,
-                        {{"epoch", std::to_string(epoch)}});
-    }
-    const SampleId got = decode_sample_id(msg.payload);
-    store.add(got);
-    if (deposit) {
-      deposit(got, std::span<const std::byte>(
-                       msg.payload.data() + sizeof(SampleId),
-                       msg.payload.size() - sizeof(SampleId)));
-    }
-    comm.pool().release(std::move(msg.payload));
-  }
-  for (SampleId id : s.outgoing) store.remove_id(id);
-
-  out.sends_committed = quota;
-  out.recvs_committed = quota;
-  return out;
-}
-
-// ---------------------------------------------------------- robust paths --
-
 // Retry backoff for attempt `attempts` (the one just sent), in the
 // communicator's microsecond clock.
 std::uint64_t backoff_us(const ExchangeRobustness& robust, int attempts) {
   return static_cast<std::uint64_t>(
       static_cast<double>(robust.ack_timeout.count()) *
       std::pow(robust.backoff, attempts - 1));
-}
-
-// Retry/timeout protocol, per-sample wire. Every round runs a DATA/ACK
-// handshake; all rounds progress concurrently in one event loop so a
-// single slow peer cannot serialise the epoch. Commit decisions are NOT
-// taken from ACKs (those are lossy too) but from the receivers' bitmaps,
-// exchanged over the reliable collective path at the end — that is what
-// keeps sender and receiver in agreement no matter which messages were
-// lost.
-//
-// All deadlines/retries read Communicator::now_us() and pauses go through
-// Communicator::backoff(): on the threaded world that is wall time and a
-// real sleep, on the event-driven world virtual time and a fiber timer —
-// a wall-clock sleep there would stall the epoch forever, since virtual
-// time only advances while fibers are suspended on it.
-ExchangeOutcome run_robust_per_sample(comm::Communicator& comm,
-                                      ShardStore& store, std::size_t epoch,
-                                      const PayloadFn& payload,
-                                      const DepositFn& deposit,
-                                      const ExchangeRobustness& robust,
-                                      ExchangeScratch& s) {
-  const int rank = comm.rank();
-  const std::size_t quota = s.outgoing.size();
-  DSHUF_CHECK_GT(robust.max_attempts, 0, "need at least one send attempt");
-  const std::uint64_t tag_base = epoch_tag_base(epoch, quota, comm.size());
-  const ExchangePlan& plan = *s.plan;
-
-  ExchangeOutcome out;
-  out.rounds = quota;
-
-  struct RoundState {
-    int dest = -1;
-    int src = -1;
-    comm::Request rx_data;  // the sample we expect this round
-    comm::Request rx_ack;   // our peer's acknowledgement of our sample
-    std::vector<std::byte> wire;  // encoded outgoing sample, kept for retries
-    bool recv_done = false;
-    bool recv_ok = false;
-    bool send_done = false;
-    int attempts = 0;
-    std::uint64_t next_retry_us = 0;
-    SampleId got = 0;
-    std::vector<std::byte> got_body;
-  };
-
-  auto& tracer = obs::Tracer::instance();
-  const std::uint64_t start = comm.now_us();
-  std::vector<RoundState> rounds(quota);
-  for (std::size_t i = 0; i < quota; ++i) {
-    auto& r = rounds[i];
-    r.dest = plan.dest(i, rank);
-    r.src = plan.source(i, rank);
-    // Post both receives before the first send so no early arrival is ever
-    // unmatched, then fire attempt 1.
-    r.rx_data = comm.irecv(r.src, data_tag(tag_base, i));
-    r.rx_ack = comm.irecv(r.dest, ack_tag(tag_base, i));
-    encode_sample_into(s.outgoing[i], payload, r.wire);
-    if (tracer.enabled()) {
-      tracer.flow_point("exchange.sample", sample_flow_id(tag_base, i, rank),
-                        obs::FlowPhase::kSend,
-                        {{"epoch", std::to_string(epoch)}});
-    }
-    comm.send(r.dest, data_tag(tag_base, i), r.wire);
-    ++out.msgs_sent;
-    out.bytes_header += sizeof(SampleId);
-    out.bytes_body += r.wire.size() - sizeof(SampleId);
-    out.bytes_sent += r.wire.size();
-    out.bytes_offered += r.wire.size();
-    r.attempts = 1;
-    r.next_retry_us =
-        start + static_cast<std::uint64_t>(robust.ack_timeout.count());
-  }
-  const std::uint64_t recv_deadline_at =
-      start + static_cast<std::uint64_t>(robust.recv_deadline.count());
-
-  auto take_data = [&](std::size_t i, RoundState& r) {
-    const auto& msg = r.rx_data.message();
-    if (tracer.enabled()) {
-      // Retries resend the same bytes on the same tag, so whichever
-      // attempt landed, (source, tag) re-derive the sender's flow id.
-      tracer.flow_point("exchange.sample",
-                        sample_flow_id(tag_base, i, msg.source),
-                        obs::FlowPhase::kFinish,
-                        {{"epoch", std::to_string(epoch)}});
-    }
-    r.got = decode_sample_id(msg.payload);
-    r.got_body.assign(msg.payload.begin() +
-                          static_cast<std::ptrdiff_t>(sizeof(SampleId)),
-                      msg.payload.end());
-    r.recv_done = true;
-    r.recv_ok = true;
-    comm.send(r.src, ack_tag(tag_base, i), {});
-    ++out.msgs_sent;
-  };
-
-  std::size_t open = 2 * quota;  // unfinished send + receive duties
-  while (open > 0) {
-    bool progressed = false;
-    const std::uint64_t now = comm.now_us();
-    for (std::size_t i = 0; i < quota; ++i) {
-      auto& r = rounds[i];
-      if (!r.recv_done) {
-        if (r.rx_data.test()) {
-          take_data(i, r);
-          --open;
-          progressed = true;
-        } else if (now >= recv_deadline_at) {
-          if (comm.cancel(r.rx_data)) {
-            r.recv_done = true;  // LS fallback: the sender keeps it
-            ++out.recv_fallbacks;
-            LOG_DEBUG << "round " << i << " recv deadline expired; "
-                      << "expected sample stays with rank " << r.src;
-          } else {
-            take_data(i, r);  // arrival raced the cancel — accept it
-          }
-          --open;
-          progressed = true;
-        }
-      }
-      if (!r.send_done) {
-        if (r.rx_ack.test()) {
-          r.send_done = true;
-          --open;
-          progressed = true;
-        } else if (now >= r.next_retry_us) {
-          if (r.attempts >= robust.max_attempts) {
-            // Give up retrying. The round may still commit if an earlier
-            // attempt landed — the reconciliation bitmap decides.
-            comm.cancel(r.rx_ack);
-            r.send_done = true;
-            --open;
-            LOG_DEBUG << "round " << i << " exhausted " << r.attempts
-                      << " attempts to rank " << r.dest
-                      << "; reconciliation decides";
-          } else {
-            if (tracer.enabled()) {
-              tracer.flow_point("exchange.sample",
-                                sample_flow_id(tag_base, i, rank),
-                                obs::FlowPhase::kStep,
-                                {{"epoch", std::to_string(epoch)}});
-            }
-            comm.send(r.dest, data_tag(tag_base, i), r.wire);
-            ++out.msgs_sent;
-            out.bytes_sent += r.wire.size();
-            ++r.attempts;
-            ++out.retries;
-            r.next_retry_us = now + backoff_us(robust, r.attempts);
-          }
-          progressed = true;
-        }
-      }
-    }
-    if (open > 0 && !progressed) {
-      comm.backoff(robust.poll_interval);
-    }
-  }
-
-  // Stage received samples in round order — the same per-store append
-  // order the sequential driver produces, so fault-free (no-drop) runs
-  // stay bit-identical to PartialLocalShuffler.
-  for (std::size_t i = 0; i < quota; ++i) {
-    auto& r = rounds[i];
-    if (!r.recv_ok) continue;
-    store.add(r.got);
-    ++out.recvs_committed;
-    if (deposit) {
-      deposit(r.got, std::span<const std::byte>(r.got_body));
-    }
-  }
-
-  // Quiesce the fabric: after the barrier no rank sends again this epoch,
-  // so fencing flushes every delayed message and the drain below removes
-  // late arrivals, duplicate copies, and orphaned ACKs.
-  {
-    obs::SpanGuard fence_span("exchange.fence");
-    comm.barrier();
-    comm.fence_faults();
-    while (auto stray = comm.poll(comm::kAnySource, comm::kAnyTag)) {
-      ++out.strays_drained;
-      if (is_epoch_data_tag(stray->tag, tag_base, quota)) {
-        const auto i = round_of_data_tag(stray->tag, tag_base);
-        if (rounds[i].recv_ok) ++out.duplicates_suppressed;
-      }
-    }
-    DSHUF_HISTOGRAM_US("exchange.fence_wait_us").observe(fence_span.finish());
-  }
-
-  // Reconciliation over the reliable control plane: each rank publishes
-  // which rounds it received; the receiver's word is the commit decision,
-  // so the sample ends up at exactly one rank (receiver if the bit is set,
-  // sender otherwise).
-  DSHUF_SPAN("exchange.reconcile");
-  std::vector<std::byte> received_bits(quota);
-  for (std::size_t i = 0; i < quota; ++i) {
-    received_bits[i] =
-        rounds[i].recv_ok ? std::byte{1} : std::byte{0};
-  }
-  const auto all_bits = comm.allgather(std::move(received_bits));
-  for (std::size_t i = 0; i < quota; ++i) {
-    const auto dest = static_cast<std::size_t>(rounds[i].dest);
-    DSHUF_CHECK_EQ(all_bits[dest].size(), quota,
-                   "reconciliation bitmap length mismatch");
-    if (all_bits[dest][i] != std::byte{0}) {
-      store.remove_id(s.outgoing[i]);
-      ++out.sends_committed;
-    } else {
-      ++out.send_fallbacks;
-      LOG_DEBUG << "round " << i << " not received by rank "
-                << rounds[i].dest << "; keeping sample locally";
-    }
-  }
-  return out;
 }
 
 // Fold the outcome into the process-wide registry; the per-field names
@@ -524,8 +208,6 @@ void fold_outcome_counters(const ExchangeOutcome& out) {
 
 }  // namespace
 
-// ------------------------------------------------- split-phase coalesced --
-
 PlsEpochExchange::PlsEpochExchange(comm::Communicator& comm,
                                    ShardStore& store, std::uint64_t seed,
                                    std::size_t epoch, double q,
@@ -541,9 +223,6 @@ PlsEpochExchange::PlsEpochExchange(comm::Communicator& comm,
       deposit_(deposit),
       robust_(robust),
       s_(scratch != nullptr ? scratch : &own_scratch_) {
-  DSHUF_CHECK(exchange_wire() == ExchangeWire::kCoalesced,
-              "PlsEpochExchange drives the coalesced wire; use "
-              "run_pls_exchange_epoch for the per-sample wire");
   rank_ = comm.rank();
   m_ = comm.size();
   quota_ = exchange_quota(global_min_shard, q);
@@ -577,14 +256,8 @@ PlsEpochExchange::PlsEpochExchange(comm::Communicator& comm,
   // the steady state) reuses last epoch's routing tables.
   ExchangeScratch& s = *s_;
   const ExchangePlan& plan = plan_for_epoch(seed, epoch, m_, quota_, s);
-  pick_permutation_into(seed, epoch, rank_, store.size(), s.picks);
-  DSHUF_CHECK_GE(store.size(), quota_,
-                 "rank " << rank_
-                         << " shard smaller than the exchange quota");
-  s.outgoing.resize(quota_);
-  for (std::size_t i = 0; i < quota_; ++i) {
-    s.outgoing[i] = store.ids()[s.picks[i]];
-  }
+  pick_outgoing_into(seed, epoch, rank_, store.ids(), quota_, s.picks,
+                     s.outgoing);
 
   tag_base_ = epoch_tag_base(epoch, quota_, m_);
   out_.rounds = quota_;
@@ -697,16 +370,19 @@ void PlsEpochExchange::finish_fast() {
   }
 }
 
-// Retry/timeout protocol, coalesced wire: the DATA/ACK handshake runs per
-// PEER FRAME instead of per round. This is failure-equivalent to the
-// per-sample handshake because commits still come from the receivers'
-// reconciliation bitmap, not from ACKs — a lost frame simply falls back a
-// whole peer's worth of rounds at once (the bitmap is per ORIGIN rank,
-// which decides exactly the same set because a frame carries all of an
-// origin's rounds or none of them).
+// Retry/timeout protocol: a DATA/ACK handshake per PEER FRAME, all peers
+// progressing concurrently in one event loop so a single slow peer cannot
+// serialise the epoch. Commit decisions are NOT taken from ACKs (those are
+// lossy too) but from the receivers' reconciliation bitmap, exchanged over
+// the reliable collective path at the end — that is what keeps sender and
+// receiver in agreement no matter which messages were lost. A lost frame
+// falls back a whole peer's worth of rounds at once.
 //
-// Clocks are Communicator::now_us() microseconds and pauses go through
-// Communicator::backoff() — see run_robust_per_sample's note on why.
+// All deadlines/retries read Communicator::now_us() and pauses go through
+// Communicator::backoff(): on the threaded world that is wall time and a
+// real sleep, on the event-driven world virtual time and a fiber timer —
+// a wall-clock sleep there would stall the epoch forever, since virtual
+// time only advances while fibers are suspended on it.
 void PlsEpochExchange::finish_robust() {
   ExchangeScratch& s = *s_;
   const ExchangeRobustness& robust = *robust_;
@@ -796,8 +472,8 @@ void PlsEpochExchange::finish_robust() {
   }
 
   // Stage whatever arrived, in round order (skipping rounds whose frame
-  // fell back) — identical append order to the per-sample robust path
-  // under the same commit pattern.
+  // fell back) — the sequential driver's append order under the same
+  // commit pattern.
   out_.recvs_committed = stage_frames_in_round_order(
       store_, quota_, deposit_fn(), s, &frame_ok_);
 
@@ -814,8 +490,7 @@ void PlsEpochExchange::finish_robust() {
         const std::size_t slot = recv_slot_of(s, origin);
         if (slot != static_cast<std::size_t>(-1) && recv_state_[slot].ok) {
           // A duplicate copy of a frame we already staged: every sample in
-          // it is a suppressed duplicate (the per-sample wire counts the
-          // same samples one message at a time).
+          // it is a suppressed duplicate.
           out_.duplicates_suppressed += parse_frame(stray->payload).count();
         }
       }
@@ -883,65 +558,11 @@ ExchangeOutcome run_pls_exchange_epoch(comm::Communicator& comm,
                                        const DepositFn& deposit,
                                        const ExchangeRobustness* robust,
                                        ExchangeScratch* scratch) {
-  // Read the wire mode exactly once so this epoch cannot tear across a
-  // concurrent flip (see exchange_wire.hpp's thread model).
-  const ExchangeWire wire = exchange_wire();
-  if (wire == ExchangeWire::kCoalesced) {
-    // The split-phase object run back-to-back IS the monolithic epoch.
-    PlsEpochExchange exchange(comm, store, seed, epoch, q, global_min_shard,
-                              &payload, &deposit, robust, scratch);
-    exchange.post();
-    return exchange.finish();
-  }
-
-  const int rank = comm.rank();
-  const int m = comm.size();
-  const std::size_t quota = exchange_quota(global_min_shard, q);
-  if (quota == 0 || m <= 1) return {};
-
-  // Spans from this rank thread land on their own trace lane, and every
-  // log line it emits carries the (rank, epoch) it was working for.
-  obs::Tracer::set_thread_track(rank);
-  if (obs::Tracer::instance().enabled()) {
-    obs::Tracer::set_thread_name("rank " + std::to_string(rank));
-  }
-  ScopedLogContext log_ctx(rank, static_cast<std::int64_t>(epoch));
-  obs::SpanGuard epoch_span("exchange.epoch",
-                            {{"epoch", std::to_string(epoch)},
-                             {"rank", std::to_string(rank)}});
-
-  // Every rank uses the identical plan derived from the shared seed —
-  // Algorithm 1's "all workers use the same random seed" — built once per
-  // process (see plan_for_epoch).
-  ExchangeScratch local_scratch;
-  ExchangeScratch& s = scratch != nullptr ? *scratch : local_scratch;
-  plan_for_epoch(seed, epoch, m, quota, s);
-  pick_permutation_into(seed, epoch, rank, store.size(), s.picks);
-  DSHUF_CHECK_GE(store.size(), quota,
-                 "rank " << rank << " shard smaller than the exchange quota");
-
-  s.outgoing.resize(quota);
-  for (std::size_t i = 0; i < quota; ++i) {
-    s.outgoing[i] = store.ids()[s.picks[i]];
-  }
-
-  ExchangeOutcome out;
-  if (robust == nullptr) {
-    DSHUF_CHECK(!comm.fault_injection_enabled(),
-                "the fast-path exchange cannot survive fault injection — "
-                "pass an ExchangeRobustness budget");
-    out = run_fast_per_sample(comm, store, epoch, payload, deposit, s);
-  } else {
-    out = run_robust_per_sample(comm, store, epoch, payload, deposit,
-                                *robust, s);
-  }
-
-  fold_outcome_counters(out);
-
-  // bytes_offered is fault-schedule independent, so this attribute is
-  // stable across reruns; retransmitted bytes live in the counter above.
-  epoch_span.attr("bytes", std::to_string(out.bytes_offered));
-  return out;
+  // The split-phase object run back-to-back IS the monolithic epoch.
+  PlsEpochExchange exchange(comm, store, seed, epoch, q, global_min_shard,
+                            &payload, &deposit, robust, scratch);
+  exchange.post();
+  return exchange.finish();
 }
 
 }  // namespace dshuf::shuffle

@@ -5,42 +5,35 @@
 // can derive locally — no global coordination is exchanged, only samples.
 // Ranks in one process share one copy per epoch (acquire_exchange_plan).
 //
-// Two wire formats (see shuffle/exchange_wire.hpp, runtime-switchable):
-//
-//   * ExchangeWire::kCoalesced (default): all of an epoch's rounds bound
-//     for peer p travel as ONE frame (header + packed ids + payloads), so
-//     an epoch costs O(peers) messages instead of O(quota). Frames pack
-//     into pooled comm buffers and the deposit path hands out span views
-//     into the received frame — with a warmed-up ExchangeScratch the fast
-//     path performs zero heap allocations per epoch.
-//   * ExchangeWire::kPerSample: the original encoding — each round is its
-//     own message (tag = round index, receiver aligns rounds by tag).
-//
-// Both wires produce bit-identical post-epoch shard contents; the
-// equivalence suite asserts it across seeds and quotas.
+// All of an epoch's rounds bound for peer p travel as ONE coalesced frame
+// (header + packed ids + payloads; see shuffle/exchange_wire.hpp), so an
+// epoch costs O(peers) messages instead of O(quota). Frames pack into
+// pooled comm buffers and the deposit path hands out span views into the
+// received frame — with a warmed-up ExchangeScratch the fast path performs
+// zero heap allocations per epoch.
 //
 // Two execution modes:
 //
 //   * Fast path (robust == nullptr): fire-and-wait (Algorithm 1 lines
 //     2-7). Assumes a perfect fabric; refuses to run over a World with
 //     fault injection enabled.
-//   * Robust path (pass an ExchangeRobustness): DATA/ACK with retry +
-//     exponential backoff, receive deadlines, duplicate suppression, and
-//     an end-of-epoch reconciliation over the reliable control plane
-//     (collectives). Per-sample wire ACKs/retries each round; coalesced
-//     wire ACKs/retries each per-peer frame — failure-equivalent, because
-//     commit decisions are NOT taken from ACKs (those are lossy too) but
-//     from the receivers' received-bitmaps, allgathered reliably at epoch
-//     end. A round/frame that exhausts its budget falls back to keeping
-//     the sample(s) at the SENDER (LS fallback); the receiver's word is
-//     the single source of truth, so sender and receiver always agree and
-//     no sample is ever lost or duplicated, whatever the fault schedule.
-//     With no drops (delay/reorder/duplication only) every round commits
-//     and the result is bit-identical to the fault-free exchange and to
-//     the sequential PartialLocalShuffler.
+//   * Robust path (pass an ExchangeRobustness): DATA/ACK per peer frame
+//     with retry + exponential backoff, receive deadlines, duplicate
+//     suppression, and an end-of-epoch reconciliation over the reliable
+//     control plane (collectives). Commit decisions are NOT taken from
+//     ACKs (those are lossy too) but from the receivers' received-bitmaps,
+//     allgathered reliably at epoch end. A frame that exhausts its budget
+//     falls back to keeping its samples at the SENDER (LS fallback); the
+//     receiver's word is the single source of truth, so sender and
+//     receiver always agree and no sample is ever lost or duplicated,
+//     whatever the fault schedule. With no drops (delay/reorder/
+//     duplication only) every frame commits and the result is
+//     bit-identical to the fault-free exchange and to the sequential
+//     PartialLocalShuffler.
 //
 // The sequential PartialLocalShuffler computes the same exchange without
-// threads; the test suite asserts both produce identical shard contents.
+// threads — with or without a Topology — and is the reference the test
+// suite holds this executor to, shard for shard.
 #pragma once
 
 #include <chrono>
@@ -75,12 +68,12 @@ using DepositFn = std::function<void(SampleId, std::span<const std::byte>)>;
 struct ExchangeRobustness {
   /// How long to wait for a DATA message's ACK before retransmitting it.
   std::chrono::microseconds ack_timeout{std::chrono::milliseconds(40)};
-  /// Total DATA transmissions per round/frame (first send + retries).
+  /// Total DATA transmissions per frame (first send + retries).
   int max_attempts = 4;
   /// Multiplier applied to ack_timeout after each retransmission.
   double backoff = 2.0;
   /// Budget for incoming samples, measured from the start of the epoch's
-  /// exchange; expiry marks the round(s) as receive fallbacks.
+  /// exchange; expiry marks the frame's rounds as receive fallbacks.
   std::chrono::microseconds recv_deadline{std::chrono::milliseconds(500)};
   /// Sleep between progress-loop scans.
   std::chrono::microseconds poll_interval{std::chrono::microseconds(200)};
@@ -100,7 +93,7 @@ struct ExchangeOutcome {
   /// ACKs) — in lockstep with the comm.isend counter.
   std::size_t msgs_sent = 0;
   /// First-attempt wire framing bytes: frame headers/offset tables and the
-  /// 4-byte sample ids (per-sample wire: just the ids).
+  /// 4-byte sample ids.
   std::size_t bytes_header = 0;
   /// First-attempt sample payload bytes — the quantity the analytic
   /// traffic model (shuffle/traffic.hpp) prices as Q * D / M per worker.
@@ -169,8 +162,7 @@ ExchangeOutcome run_pls_exchange_epoch(
     const ExchangeRobustness* robust = nullptr,
     ExchangeScratch* scratch = nullptr);
 
-/// Split-phase epoch exchange (coalesced wire only) — the overlap
-/// primitive: post() fires this rank's outgoing frames, the caller runs
+/// Split-phase epoch exchange — the overlap primitive: post() fires this rank's outgoing frames, the caller runs
 /// its batch compute, and finish() collects/reconciles once the compute
 /// is done, so frame transit hides under compute instead of serialising
 /// after it (the paper's "shuffling cost judged against its overlap with

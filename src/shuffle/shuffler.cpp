@@ -84,14 +84,13 @@ const std::vector<SampleId>& LocalShuffler::local_order(int worker) const {
 
 PartialLocalShuffler::PartialLocalShuffler(
     std::vector<std::vector<SampleId>> shards, double q, std::uint64_t seed,
-    bool exchange_on_first_epoch)
-    : q_(q),
-      seed_(seed),
-      exchange_on_first_epoch_(exchange_on_first_epoch),
-      base_rng_(seed),
-      orders_(shards.size()) {
+    std::optional<Topology> topology)
+    : q_(q), seed_(seed), orders_(shards.size()), outgoing_(shards.size()) {
   DSHUF_CHECK(!shards.empty(), "need at least one shard");
   DSHUF_CHECK(q >= 0.0 && q <= 1.0, "Q must be in [0, 1]");
+  if (topology) {
+    topology_ = topology->resolved_for(static_cast<int>(shards.size()));
+  }
   std::size_t min_shard = shards[0].size();
   for (const auto& s : shards) min_shard = std::min(min_shard, s.size());
   const std::size_t quota = exchange_quota(min_shard, q);
@@ -103,7 +102,9 @@ PartialLocalShuffler::PartialLocalShuffler(
 }
 
 std::string PartialLocalShuffler::label() const {
-  return strategy_label(Strategy::kPartial, q_);
+  std::string label = strategy_label(Strategy::kPartial, q_);
+  if (topology_) label += "-hier" + std::to_string(topology_->groups);
+  return label;
 }
 
 void PartialLocalShuffler::begin_epoch(std::size_t epoch) {
@@ -119,19 +120,19 @@ void PartialLocalShuffler::begin_epoch(std::size_t epoch) {
   stats_.local_reads_per_worker.assign(m, 0);
   stats_.peak_occupancy_per_worker.assign(m, 0);
 
-  const bool exchange =
-      quota > 0 && m > 1 && (epoch > 0 || exchange_on_first_epoch_);
-
-  if (exchange) {
-    plan_ = std::make_unique<ExchangePlan>(seed_, epoch,
-                                           static_cast<int>(m), quota);
+  if (quota > 0 && m > 1) {
+    // The epoch's plan from the process-wide cache — the one the
+    // message-passing ranks share — rebuilt in place once warm.
+    acquire_exchange_plan(plan_spec_for(seed_, epoch, static_cast<int>(m),
+                                        quota, topology_),
+                          held_plan_);
+    const ExchangePlan& plan = *held_plan_;
     // Algorithm 1, line 1: every worker picks its outgoing samples (random
     // permutation prefix, or importance-ordered under the extension
     // policies) — resolve them all before mutating stores.
-    std::vector<std::vector<SampleId>> outgoing(m);
     for (std::size_t w = 0; w < m; ++w) {
       stores_[w].reset_peak();
-      outgoing[w] = select_outgoing(epoch, static_cast<int>(w), quota);
+      select_outgoing(epoch, static_cast<int>(w), quota, outgoing_[w]);
     }
     // Deliver round by round (this is what MPI messages carry), staging
     // received samples BEFORE the transmitted ones are cleaned up — the
@@ -139,26 +140,25 @@ void PartialLocalShuffler::begin_epoch(std::size_t epoch) {
     // capacity bound is (1+Q) * N/M.
     for (std::size_t i = 0; i < quota; ++i) {
       for (std::size_t w = 0; w < m; ++w) {
-        const int d = plan_->dest(i, static_cast<int>(w));
-        stores_[static_cast<std::size_t>(d)].add(outgoing[w][i]);
+        const int d = plan.dest(i, static_cast<int>(w));
+        stores_[static_cast<std::size_t>(d)].add(outgoing_[w][i]);
         ++stats_.received_per_worker[static_cast<std::size_t>(d)];
         ++stats_.sent_per_worker[w];
       }
     }
-    // scheduler.clean_local_storage(): drop the transmitted samples.
+    // The paper's clean_local_storage(): drop the transmitted samples.
     for (std::size_t w = 0; w < m; ++w) {
-      for (SampleId id : outgoing[w]) stores_[w].remove_id(id);
+      for (SampleId id : outgoing_[w]) stores_[w].remove_id(id);
     }
   } else {
-    plan_.reset();
     for (auto& s : stores_) s.reset_peak();
   }
 
   // Final local shuffle of the (possibly updated) shard — in place, so the
   // next epoch's pick permutation draws from the shuffled order (the paper:
   // "a full shuffle of the local portion of the data is performed before
-  // the designated ratio is exchanged"). Scheduler applies the identical
-  // stream, which keeps the two drivers bit-compatible.
+  // the designated ratio is exchanged"). Message-passing ranks apply the
+  // identical stream, which keeps the two drivers bit-compatible.
   for (std::size_t w = 0; w < m; ++w) {
     post_exchange_local_shuffle(seed_, epoch, static_cast<int>(w),
                                 stores_[w].mutable_ids());
@@ -169,19 +169,15 @@ void PartialLocalShuffler::begin_epoch(std::size_t epoch) {
   }
 }
 
-std::vector<SampleId> PartialLocalShuffler::select_outgoing(
-    std::size_t epoch, int worker, std::size_t quota) const {
+void PartialLocalShuffler::select_outgoing(std::size_t epoch, int worker,
+                                           std::size_t quota,
+                                           std::vector<SampleId>& out) {
   const auto& store = stores_[static_cast<std::size_t>(worker)];
   const bool scored = pick_policy_ != PickPolicy::kUniform &&
                       !scores_.empty();
-  std::vector<SampleId> out;
-  out.reserve(quota);
   if (!scored) {
-    const auto picks = pick_permutation(seed_, epoch, worker, store.size());
-    for (std::size_t i = 0; i < quota; ++i) {
-      out.push_back(store.ids()[picks[i]]);
-    }
-    return out;
+    pick_outgoing_into(seed_, epoch, worker, store.ids(), quota, picks_, out);
+    return;
   }
   // Importance policy: order the shard by score (ties by id for
   // determinism) and take the top/bottom quota.
@@ -199,7 +195,6 @@ std::vector<SampleId> PartialLocalShuffler::select_outgoing(
   });
   out.assign(sorted.begin(), sorted.begin() + static_cast<std::ptrdiff_t>(
                                                   quota));
-  return out;
 }
 
 const std::vector<SampleId>& PartialLocalShuffler::local_order(
@@ -230,20 +225,24 @@ std::unique_ptr<Shuffler> make_shuffler(
   DSHUF_CHECK(false, "unreachable strategy");
 }
 
-std::vector<std::uint32_t> pick_permutation(std::uint64_t seed,
-                                            std::size_t epoch, int worker,
-                                            std::size_t shard_size) {
-  std::vector<std::uint32_t> out;
-  pick_permutation_into(seed, epoch, worker, shard_size, out);
-  return out;
-}
-
 void pick_permutation_into(std::uint64_t seed, std::size_t epoch, int worker,
                            std::size_t shard_size,
                            std::vector<std::uint32_t>& out) {
   Rng rng = Rng(seed).fork(kPickTag, epoch,
                            static_cast<std::uint64_t>(worker));
   rng.permutation_into(shard_size, out);
+}
+
+void pick_outgoing_into(std::uint64_t seed, std::size_t epoch, int worker,
+                        std::span<const SampleId> shard, std::size_t quota,
+                        std::vector<std::uint32_t>& picks,
+                        std::vector<SampleId>& out) {
+  DSHUF_CHECK_GE(shard.size(), quota,
+                 "worker " << worker
+                           << " shard smaller than the exchange quota");
+  pick_permutation_into(seed, epoch, worker, shard.size(), picks);
+  out.resize(quota);
+  for (std::size_t i = 0; i < quota; ++i) out[i] = shard[picks[i]];
 }
 
 void post_exchange_local_shuffle(std::uint64_t seed, std::size_t epoch,

@@ -12,7 +12,8 @@
 //   * PartialLocalShuffler — the paper's contribution: each epoch every
 //                       worker exchanges k = ceil(Q * N/M) randomly chosen
 //                       local samples through the balanced Algorithm-1 plan
-//                       and then shuffles the updated shard locally.
+//                       (or, given a Topology, the Section V-F grouped
+//                       plan) and then shuffles the updated shard locally.
 //
 // The driver is sequential over workers but computes exactly what the
 // distributed implementation computes (every random draw is derived from
@@ -21,10 +22,13 @@
 #pragma once
 
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 
 #include "shuffle/exchange_plan.hpp"
 #include "shuffle/shard_store.hpp"
+#include "shuffle/topology.hpp"
 #include "shuffle/types.hpp"
 
 namespace dshuf::shuffle {
@@ -99,15 +103,21 @@ enum class PickPolicy {
 
 std::string to_string(PickPolicy p);
 
-/// Partial local shuffling (the paper's contribution).
+/// Partial local shuffling (the paper's contribution). The sequential
+/// reference for the message-passing exchange (shuffle/mpi_exchange.hpp):
+/// both take their plans from the same cache and their picks from the
+/// same helper, so their shards agree bit for bit.
 class PartialLocalShuffler final : public Shuffler {
  public:
-  /// `q` is the exchange fraction; `exchange_on_first_epoch` controls
-  /// whether epoch 0 already exchanges (the paper exchanges before each
-  /// epoch; the initial distribution counts as "before epoch 0" so the
-  /// default is true).
+  /// `q` is the exchange fraction. With a `topology` of more than one
+  /// group, every epoch exchanges through the grouped plan of Section
+  /// V-F (ExchangePlan::rebuild_grouped) — the shape the message-passing
+  /// exchange uses under the same ScopedExchangeTopology; its shape is
+  /// checked against the worker count here. Without one, or with a single
+  /// group, the flat Algorithm-1 plan.
   PartialLocalShuffler(std::vector<std::vector<SampleId>> shards, double q,
-                       std::uint64_t seed, bool exchange_on_first_epoch = true);
+                       std::uint64_t seed,
+                       std::optional<Topology> topology = std::nullopt);
 
   void begin_epoch(std::size_t epoch) override;
   [[nodiscard]] const std::vector<SampleId>& local_order(
@@ -125,9 +135,6 @@ class PartialLocalShuffler final : public Shuffler {
   [[nodiscard]] const std::vector<ShardStore>& stores() const {
     return stores_;
   }
-  /// The plan used by the last begin_epoch (for cross-checking against a
-  /// real message-passing execution).
-  [[nodiscard]] const ExchangePlan* last_plan() const { return plan_.get(); }
 
   /// Switch the exchange-pick policy. For the importance policies, callers
   /// must provide fresh per-sample scores (indexed by SampleId) before
@@ -140,18 +147,19 @@ class PartialLocalShuffler final : public Shuffler {
   }
 
  private:
-  /// Outgoing sample selection for one worker under the active policy.
-  [[nodiscard]] std::vector<SampleId> select_outgoing(std::size_t epoch,
-                                                      int worker,
-                                                      std::size_t quota) const;
+  /// Fill `out` with one worker's outgoing samples under the active
+  /// policy.
+  void select_outgoing(std::size_t epoch, int worker, std::size_t quota,
+                       std::vector<SampleId>& out);
 
   double q_;
   std::uint64_t seed_;
-  bool exchange_on_first_epoch_;
-  Rng base_rng_;
+  std::optional<Topology> topology_;  // resolved for the worker count
   std::vector<ShardStore> stores_;
   std::vector<std::vector<SampleId>> orders_;
-  std::unique_ptr<ExchangePlan> plan_;
+  SharedPlan held_plan_;  // this epoch's plan in the shared cache
+  std::vector<std::vector<SampleId>> outgoing_;  // [worker], reused
+  std::vector<std::uint32_t> picks_;             // pick scratch, reused
   ExchangeStats stats_;
   PickPolicy pick_policy_ = PickPolicy::kUniform;
   std::vector<float> scores_;
@@ -164,25 +172,26 @@ std::unique_ptr<Shuffler> make_shuffler(Strategy strategy, double q,
                                         std::vector<std::vector<SampleId>> shards,
                                         std::uint64_t seed);
 
-/// The per-worker pick permutation of Algorithm 1 line 1: which local slots
-/// worker `worker` contributes in epoch `epoch`. Shared helper so the
-/// sequential driver and the message-passing executor select identical
-/// samples.
-std::vector<std::uint32_t> pick_permutation(std::uint64_t seed,
-                                            std::size_t epoch, int worker,
-                                            std::size_t shard_size);
-
-/// pick_permutation written into `out` (resized; capacity reused). Same
-/// draw sequence — the steady-state exchange uses this to avoid the
-/// per-epoch allocation.
+/// The per-worker pick permutation of Algorithm 1 line 1, written into
+/// `out` (resized; capacity reused): which local slots worker `worker`
+/// contributes in epoch `epoch`, in round order.
 void pick_permutation_into(std::uint64_t seed, std::size_t epoch, int worker,
                            std::size_t shard_size,
                            std::vector<std::uint32_t>& out);
 
-/// The end-of-epoch local shuffle applied to a worker's shard ids. All
-/// drivers (PartialLocalShuffler, Scheduler, and callers of
-/// run_pls_exchange_epoch) must apply this same stream for their stores to
-/// stay bit-compatible across epochs.
+/// Algorithm 1 line 1 as both drivers run it: the ids at the first `quota`
+/// slots of worker `worker`'s pick permutation over `shard`, written into
+/// `out` (round i sends out[i]). `picks` is scratch; both vectors keep
+/// their capacity, so a steady-state epoch allocates nothing here.
+void pick_outgoing_into(std::uint64_t seed, std::size_t epoch, int worker,
+                        std::span<const SampleId> shard, std::size_t quota,
+                        std::vector<std::uint32_t>& picks,
+                        std::vector<SampleId>& out);
+
+/// The end-of-epoch local shuffle applied to a worker's shard ids. Both
+/// drivers (PartialLocalShuffler and callers of run_pls_exchange_epoch)
+/// must apply this same stream for their stores to stay bit-compatible
+/// across epochs.
 void post_exchange_local_shuffle(std::uint64_t seed, std::size_t epoch,
                                  int worker, std::vector<SampleId>& ids);
 

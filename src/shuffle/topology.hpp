@@ -13,12 +13,15 @@
 //     frames at a group leader before they cross (Corgi²-style staging),
 //     so the uplink sees G-1 aggregate trunks instead of S*(G-1) flows.
 //
-// Like the wire mode (shuffle/exchange_wire.hpp) and the kernel backend,
-// the topology is a process-wide policy with a scoped override: the
-// exchange reads it exactly ONCE per epoch, so a flip between epochs is
-// race-free and every rank runs the epoch under the same topology. Ranks
-// are grouped contiguously (group_of(r) = r / group_size), matching
-// HierarchicalExchangePlan.
+// For the message-passing exchange the topology is, like the kernel
+// backend, a process-wide policy with a scoped override: the exchange
+// reads it exactly ONCE per epoch, so a flip between epochs is race-free
+// and every rank runs the epoch under the same topology. The sequential
+// PartialLocalShuffler takes its Topology as a constructor argument
+// instead. Either way the plan is ExchangePlan::rebuild_grouped when there
+// is more than one group and the flat Algorithm-1 plan otherwise
+// (plan_spec_for). Ranks are grouped contiguously (group_of(r) = r /
+// group_size).
 #pragma once
 
 #include <cstdint>
@@ -52,8 +55,7 @@ struct Topology {
 /// Process-wide topology the exchange plans against; nullopt (the default)
 /// keeps the flat Algorithm-1 permutations. Read ONCE per epoch by
 /// run_pls_exchange_epoch / PlsEpochExchange, so flips between epochs are
-/// race-free (same contract as set_exchange_wire — flip from the driving
-/// thread before World::run).
+/// race-free (flip from the driving thread before World::run).
 [[nodiscard]] std::optional<Topology> exchange_topology();
 void set_exchange_topology(const std::optional<Topology>& topo);
 

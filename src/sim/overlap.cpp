@@ -7,7 +7,6 @@
 #include "comm/comm.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
-#include "shuffle/exchange_wire.hpp"
 #include "shuffle/shuffler.hpp"
 #include "task/scheduler.hpp"
 #include "tensor/tensor.hpp"
@@ -68,9 +67,6 @@ OverlapResult run_overlapped_epochs(const OverlapConfig& cfg) {
     stores.emplace_back(std::move(s), cap);
   }
 
-  // The split-phase exchange is coalesced-wire only; set BEFORE World::run
-  // (rank threads read the process-wide mode).
-  shuffle::ScopedExchangeWire wire_mode(shuffle::ExchangeWire::kCoalesced);
   comm::World world(cfg.ranks);
   if (cfg.faults) {
     world.set_fault_plan(comm::FaultPlan(cfg.fault_seed, *cfg.faults));

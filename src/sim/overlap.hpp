@@ -61,8 +61,7 @@ struct OverlapResult {
 };
 
 /// Run `cfg.epochs` overlapped (or baseline) exchange+compute epochs over
-/// an in-process World, including the post-exchange local shuffle. Always
-/// runs the coalesced wire (the split-phase exchange's wire).
+/// an in-process World, including the post-exchange local shuffle.
 OverlapResult run_overlapped_epochs(const OverlapConfig& cfg);
 
 }  // namespace dshuf::sim

@@ -63,9 +63,11 @@ SimResult train_model(nn::Model& model, const data::InMemoryDataset& train,
   std::unique_ptr<shuffle::Shuffler> shuffler;
   if (config.strategy == shuffle::Strategy::kPartial &&
       config.hierarchical_groups > 0) {
-    shuffler = std::make_unique<shuffle::HierarchicalPartialShuffler>(
-        std::move(shards), config.q, config.hierarchical_groups, config.seed,
-        config.hierarchical_intra_fraction);
+    shuffle::Topology topology;
+    topology.groups = config.hierarchical_groups;
+    topology.intra_fraction = config.hierarchical_intra_fraction;
+    shuffler = std::make_unique<shuffle::PartialLocalShuffler>(
+        std::move(shards), config.q, config.seed, topology);
   } else {
     shuffler = shuffle::make_shuffler(config.strategy, config.q,
                                       train.size(), std::move(shards),

@@ -25,7 +25,6 @@
 #include "data/workloads.hpp"
 #include "nn/builder.hpp"
 #include "nn/optimizer.hpp"
-#include "shuffle/hierarchical.hpp"
 #include "shuffle/shuffler.hpp"
 
 namespace dshuf::sim {
@@ -42,8 +41,9 @@ struct SimConfig {
   /// When > 0, use Dirichlet non-IID partitioning with this concentration
   /// instead of `partition` (small alpha = strong skew, large = near-iid).
   double dirichlet_alpha = 0.0;
-  /// When > 0 and strategy is kPartial, use the hierarchical exchange
-  /// (Section V-F) with this many groups instead of the flat plan.
+  /// When > 0 and strategy is kPartial, exchange under a Topology of this
+  /// many groups: the grouped plan of Section V-F when > 1, the flat plan
+  /// when 1 (one group spans every worker).
   int hierarchical_groups = 0;
   /// Fraction of hierarchical rounds kept intra-group.
   double hierarchical_intra_fraction = 0.5;

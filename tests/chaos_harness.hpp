@@ -62,9 +62,6 @@ struct ChaosConfig {
   std::uint64_t fault_seed = 1;  ///< fault-schedule seed
   comm::FaultSpec spec;
   shuffle::ExchangeRobustness robust = default_robustness();
-  /// Wire format to run the exchange under (defaults to the process-wide
-  /// mode); chaos invariants must hold for BOTH.
-  shuffle::ExchangeWire wire = shuffle::exchange_wire();
   /// Unlimited store capacity: required for drop scenarios, where shard
   /// sizes may drift beyond the fault-free (1+Q) bound across epochs.
   bool unlimited_capacity = false;
@@ -100,8 +97,6 @@ inline ChaosResult run_chaos_exchange(const ChaosConfig& cfg) {
     stores.emplace_back(std::move(s), cap);
   }
 
-  // Set BEFORE World::run — rank threads read the process-wide mode.
-  shuffle::ScopedExchangeWire wire_mode(cfg.wire);
   comm::World world(cfg.m);
   world.set_fault_plan(comm::FaultPlan(cfg.fault_seed, cfg.spec));
 

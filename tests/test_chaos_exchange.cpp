@@ -237,77 +237,57 @@ TEST(ChaosExchange, SameSeedsReproduceExactly) {
 }
 
 // ---------------------------------------------------------------------------
-// Wire modes: every chaos invariant must hold under BOTH encodings. For
-// fault schedules that never drop, both wires must match the sequential
-// driver (and therefore each other) bit-for-bit. Under drops the wires
-// carry different tag streams, so the injector makes different per-message
-// decisions and the shards legitimately diverge across modes — there the
-// bar is per-mode determinism plus conservation.
+// Frame wire: a no-drop schedule must match the sequential driver
+// bit-for-bit with every round committed; under drops the bar is
+// conservation plus exact replay, bookkeeping included.
 
-TEST(ChaosExchangeWire, NoDropFaultsMatchSequentialUnderBothWires) {
-  std::vector<std::size_t> msgs_by_mode;
-  for (const shuffle::ExchangeWire wire :
-       {shuffle::ExchangeWire::kPerSample,
-        shuffle::ExchangeWire::kCoalesced}) {
-    SCOPED_TRACE(shuffle::to_string(wire));
-    ChaosConfig cfg;
-    cfg.m = 4;
-    cfg.n = 48;
-    cfg.q = 0.5;
-    cfg.epochs = 2;
-    cfg.fault_seed = 21;
-    cfg.spec = no_drop_spec();
-    cfg.wire = wire;
-    const auto result = run_chaos_exchange(cfg);
-    // The sequential reference knows nothing about wires; matching it
-    // under both modes proves the modes match each other too.
-    EXPECT_EQ(result.shards, sequential_reference(cfg));
-    expect_conservation(result.shards, cfg.n);
-    std::size_t msgs = 0;
-    for (const auto& per_rank : result.outcomes) {
-      for (const auto& o : per_rank) msgs += o.msgs_sent;
+TEST(ChaosExchangeWire, NoDropFaultsMatchSequential) {
+  ChaosConfig cfg;
+  cfg.m = 4;
+  cfg.n = 48;
+  cfg.q = 0.5;
+  cfg.epochs = 2;
+  cfg.fault_seed = 21;
+  cfg.spec = no_drop_spec();
+  const auto result = run_chaos_exchange(cfg);
+  EXPECT_EQ(result.shards, sequential_reference(cfg));
+  expect_conservation(result.shards, cfg.n);
+  for (std::size_t e = 0; e < result.outcomes.size(); ++e) {
+    for (const auto& o : result.outcomes[e]) {
+      EXPECT_EQ(o.sends_committed, result.quota_per_epoch[e]);
+      EXPECT_EQ(o.recvs_committed, result.quota_per_epoch[e]);
     }
-    msgs_by_mode.push_back(msgs);
   }
-  // Coalescing is the point: same work, strictly fewer messages.
-  ASSERT_EQ(msgs_by_mode.size(), 2U);
-  EXPECT_LT(msgs_by_mode[1], msgs_by_mode[0]);
 }
 
-TEST(ChaosExchangeWire, DropsConserveAndReplayUnderBothWires) {
-  for (const shuffle::ExchangeWire wire :
-       {shuffle::ExchangeWire::kPerSample,
-        shuffle::ExchangeWire::kCoalesced}) {
-    SCOPED_TRACE(shuffle::to_string(wire));
-    ChaosConfig cfg;
-    cfg.m = 4;
-    cfg.n = 48;
-    cfg.q = 0.5;
-    cfg.epochs = 3;
-    cfg.fault_seed = 31;
-    cfg.spec.drop_prob = 0.3;
-    cfg.spec.dup_prob = 0.2;
-    cfg.unlimited_capacity = true;
-    cfg.wire = wire;
-    const auto a = run_chaos_exchange(cfg);
-    expect_conservation(a.shards, cfg.n);
-    expect_balance_bound(a);
-    // Same seeds, same wire -> exact replay, bookkeeping included.
-    const auto b = run_chaos_exchange(cfg);
-    EXPECT_EQ(a.shards, b.shards);
-    ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
-    for (std::size_t e = 0; e < a.outcomes.size(); ++e) {
-      for (std::size_t w = 0; w < a.outcomes[e].size(); ++w) {
-        EXPECT_EQ(a.outcomes[e][w].sends_committed,
-                  b.outcomes[e][w].sends_committed);
-        EXPECT_EQ(a.outcomes[e][w].send_fallbacks,
-                  b.outcomes[e][w].send_fallbacks);
-        EXPECT_EQ(a.outcomes[e][w].recvs_committed,
-                  b.outcomes[e][w].recvs_committed);
-        EXPECT_EQ(a.outcomes[e][w].recv_fallbacks,
-                  b.outcomes[e][w].recv_fallbacks);
-        EXPECT_EQ(a.outcomes[e][w].retries, b.outcomes[e][w].retries);
-      }
+TEST(ChaosExchangeWire, DropsConserveAndReplay) {
+  ChaosConfig cfg;
+  cfg.m = 4;
+  cfg.n = 48;
+  cfg.q = 0.5;
+  cfg.epochs = 3;
+  cfg.fault_seed = 31;
+  cfg.spec.drop_prob = 0.3;
+  cfg.spec.dup_prob = 0.2;
+  cfg.unlimited_capacity = true;
+  const auto a = run_chaos_exchange(cfg);
+  expect_conservation(a.shards, cfg.n);
+  expect_balance_bound(a);
+  // Same seeds -> exact replay, bookkeeping included.
+  const auto b = run_chaos_exchange(cfg);
+  EXPECT_EQ(a.shards, b.shards);
+  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
+  for (std::size_t e = 0; e < a.outcomes.size(); ++e) {
+    for (std::size_t w = 0; w < a.outcomes[e].size(); ++w) {
+      EXPECT_EQ(a.outcomes[e][w].sends_committed,
+                b.outcomes[e][w].sends_committed);
+      EXPECT_EQ(a.outcomes[e][w].send_fallbacks,
+                b.outcomes[e][w].send_fallbacks);
+      EXPECT_EQ(a.outcomes[e][w].recvs_committed,
+                b.outcomes[e][w].recvs_committed);
+      EXPECT_EQ(a.outcomes[e][w].recv_fallbacks,
+                b.outcomes[e][w].recv_fallbacks);
+      EXPECT_EQ(a.outcomes[e][w].retries, b.outcomes[e][w].retries);
     }
   }
 }

@@ -7,9 +7,8 @@
 
 #include "data/synthetic.hpp"
 #include "nn/norm.hpp"
-#include "shuffle/hierarchical.hpp"
-#include "shuffle/scheduler.hpp"
 #include "shuffle/shuffler.hpp"
+#include "shuffle/topology.hpp"
 #include "sim/trainer.hpp"
 
 namespace dshuf {
@@ -46,18 +45,6 @@ TEST(EdgeCases, PartialShufflerWithUnevenShards) {
   }
 }
 
-TEST(EdgeCases, SchedulerWithBatchLargerThanShard) {
-  // One iteration per epoch; clean_local_storage still flushes the quota.
-  shuffle::Scheduler s(make_shards(40, 4), 0.5, /*local_batch=*/32, 7);
-  EXPECT_EQ(s.iterations_per_epoch(), 1U);
-  s.scheduling(0);
-  const auto chunk = s.communicate(0);
-  s.synchronize(chunk);
-  s.clean_local_storage();
-  EXPECT_EQ(s.last_stats().sent_per_worker[0],
-            shuffle::exchange_quota(10, 0.5));
-}
-
 TEST(EdgeCases, TinyShardFullExchange) {
   // Shard size 1 with Q = 1: every epoch every worker's single sample
   // moves somewhere.
@@ -68,12 +55,16 @@ TEST(EdgeCases, TinyShardFullExchange) {
   }
 }
 
+shuffle::Topology groups_of(int groups) {
+  shuffle::Topology t;
+  t.groups = groups;
+  return t;
+}
+
 TEST(EdgeCases, HierarchicalWithSingletonGroups) {
   // groups == workers: intra rounds are pure self-sends, inter rounds are
   // full permutations; still balanced and conserving.
-  shuffle::HierarchicalPartialShuffler hs(make_shards(32, 8), 0.5,
-                                          /*groups=*/8, 5,
-                                          /*intra_fraction=*/0.5);
+  shuffle::PartialLocalShuffler hs(make_shards(32, 8), 0.5, 5, groups_of(8));
   hs.begin_epoch(0);
   std::multiset<SampleId> all;
   for (int w = 0; w < 8; ++w) {
@@ -84,14 +75,21 @@ TEST(EdgeCases, HierarchicalWithSingletonGroups) {
 }
 
 TEST(EdgeCases, HierarchicalSingleGroupEqualsFlatStatistics) {
-  shuffle::HierarchicalPartialShuffler hs(make_shards(48, 6), 0.5,
-                                          /*groups=*/1, 5);
-  hs.begin_epoch(0);
-  const auto* stats = hs.last_stats();
-  for (std::size_t w = 0; w < 6; ++w) {
-    EXPECT_EQ(stats->sent_per_worker[w], shuffle::exchange_quota(8, 0.5));
+  // One group spanning every worker IS the flat plan: same statistics,
+  // and the same shards id for id, epoch after epoch.
+  shuffle::PartialLocalShuffler hs(make_shards(48, 6), 0.5, 5, groups_of(1));
+  shuffle::PartialLocalShuffler flat(make_shards(48, 6), 0.5, 5);
+  for (std::size_t e = 0; e < 3; ++e) {
+    hs.begin_epoch(e);
+    flat.begin_epoch(e);
+    const auto* stats = hs.last_stats();
+    for (std::size_t w = 0; w < 6; ++w) {
+      EXPECT_EQ(stats->sent_per_worker[w], shuffle::exchange_quota(8, 0.5));
+      EXPECT_EQ(hs.local_order(static_cast<int>(w)),
+                flat.local_order(static_cast<int>(w)))
+          << "epoch " << e << " worker " << w;
+    }
   }
-  EXPECT_DOUBLE_EQ(hs.last_intra_fraction(), 1.0);  // nothing leaves group
 }
 
 TEST(EdgeCases, BatchNormHandlesZeroVarianceColumn) {

@@ -1,18 +1,21 @@
-// Seed-sweep equivalence property: the three executions of partial local
-// shuffling — the sequential PartialLocalShuffler, the iteration-chunked
-// Scheduler, and the message-passing run_pls_exchange_epoch over a real
-// comm::World — must produce bit-identical shard contents for every point
-// of a (workers, Q, batch, seed) grid. This is the repo's strongest
-// determinism claim: no random draw depends on execution order.
+// Seed-sweep equivalence property: the two executions of partial local
+// shuffling — the sequential PartialLocalShuffler and the message-passing
+// run_pls_exchange_epoch over a real comm::World — must produce
+// bit-identical shard contents for every point of a (workers, topology,
+// Q, seed) grid, flat or grouped into any number of groups that divides
+// the workers. This is the repo's strongest determinism claim: no random
+// draw depends on execution order.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "comm/comm.hpp"
+#include "netsim/virtual_comm.hpp"
 #include "shuffle/exchange_plan.hpp"
 #include "shuffle/mpi_exchange.hpp"
-#include "shuffle/scheduler.hpp"
 #include "shuffle/shuffler.hpp"
+#include "shuffle/topology.hpp"
 
 namespace dshuf::shuffle {
 namespace {
@@ -35,12 +38,13 @@ std::vector<std::vector<SampleId>> store_ids(
   return out;
 }
 
-/// Message-passing execution: M rank-threads running the exchange plus the
-/// shared post-exchange local shuffle, for `epochs` epochs.
+/// Message-passing execution: one rank per shard on `world` (threaded or
+/// virtual) running the exchange plus the shared post-exchange local
+/// shuffle, for `epochs` epochs, under whatever topology is installed.
+template <typename WorldT>
 std::vector<std::vector<SampleId>> run_world_epochs(
-    std::vector<std::vector<SampleId>> shards, double q, std::uint64_t seed,
-    std::size_t epochs) {
-  const int m = static_cast<int>(shards.size());
+    WorldT& world, std::vector<std::vector<SampleId>> shards, double q,
+    std::uint64_t seed, std::size_t epochs) {
   std::size_t min_shard = shards[0].size();
   for (const auto& s : shards) min_shard = std::min(min_shard, s.size());
   const std::size_t quota = exchange_quota(min_shard, q);
@@ -50,7 +54,6 @@ std::vector<std::vector<SampleId>> run_world_epochs(
     const std::size_t cap = s.size() + quota;
     stores.emplace_back(std::move(s), cap);
   }
-  comm::World world(m);
   for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
     world.run([&](comm::Communicator& c) {
       auto& store = stores[static_cast<std::size_t>(c.rank())];
@@ -62,42 +65,59 @@ std::vector<std::vector<SampleId>> run_world_epochs(
   return store_ids(stores);
 }
 
-TEST(EquivalenceSweep, AllThreeDriversAgreeAcrossTheGrid) {
+std::vector<std::vector<SampleId>> run_sequential_epochs(
+    std::vector<std::vector<SampleId>> shards, double q, std::uint64_t seed,
+    std::size_t epochs, const std::optional<Topology>& topology) {
+  PartialLocalShuffler pls(std::move(shards), q, seed, topology);
+  for (std::size_t epoch = 0; epoch < epochs; ++epoch) pls.begin_epoch(epoch);
+  return store_ids(pls.stores());
+}
+
+TEST(EquivalenceSweep, BothDriversAgreeAcrossTheGrid) {
   constexpr std::size_t kEpochs = 2;
   for (int m : {1, 2, 4, 7}) {
     const std::size_t n = static_cast<std::size_t>(m) * 12;
-    for (double q : {0.0, 0.1, 0.3, 1.0}) {
-      for (std::size_t b : {2UL, 5UL}) {
+    // Flat, then every group count that divides m — one group included,
+    // which both drivers must treat as the flat plan.
+    std::vector<std::optional<Topology>> topologies{std::nullopt};
+    for (int g = 1; g <= m; ++g) {
+      if (m % g != 0) continue;
+      Topology t;
+      t.groups = g;
+      topologies.emplace_back(t);
+    }
+    for (const auto& topo : topologies) {
+      std::optional<ScopedExchangeTopology> installed;
+      if (topo) installed.emplace(*topo);
+      comm::World world(m);
+      for (double q : {0.0, 0.1, 0.3, 1.0}) {
         for (std::uint64_t seed : {11ULL, 97ULL}) {
           SCOPED_TRACE(::testing::Message()
-                       << "m=" << m << " q=" << q << " b=" << b
+                       << "m=" << m << " groups="
+                       << (topo ? topo->groups : 0) << " q=" << q
                        << " seed=" << seed);
-
-          PartialLocalShuffler pls(deal_shards(n, m), q, seed);
-          Scheduler sched(deal_shards(n, m), q, b, seed);
-          for (std::size_t epoch = 0; epoch < kEpochs; ++epoch) {
-            pls.begin_epoch(epoch);
-            sched.scheduling(epoch);
-            for (std::size_t it = 0; it < sched.iterations_per_epoch();
-                 ++it) {
-              const auto chunk = sched.communicate(it);
-              sched.synchronize(chunk);
-            }
-            sched.clean_local_storage();
-          }
-          const auto world = run_world_epochs(deal_shards(n, m), q, seed,
-                                              kEpochs);
-
-          const auto reference = store_ids(pls.stores());
-          EXPECT_EQ(store_ids(sched.stores()), reference)
-              << "Scheduler diverged from PartialLocalShuffler";
-          EXPECT_EQ(world, reference)
+          EXPECT_EQ(run_world_epochs(world, deal_shards(n, m), q, seed,
+                                     kEpochs),
+                    run_sequential_epochs(deal_shards(n, m), q, seed,
+                                          kEpochs, topo))
               << "message-passing exchange diverged from the sequential "
                  "driver";
         }
       }
     }
   }
+
+  // One paper-shaped point on the fiber backend: 64 ranks in 8 groups.
+  Topology topo;
+  topo.groups = 8;
+  const ScopedExchangeTopology installed(topo);
+  netsim::VirtualWorld world(64);
+  EXPECT_EQ(run_world_epochs(world, deal_shards(64 * 12, 64), 0.3, 11,
+                             kEpochs),
+            run_sequential_epochs(deal_shards(64 * 12, 64), 0.3, 11, kEpochs,
+                                  topo))
+      << "virtual-rank exchange diverged from the sequential driver at "
+         "M=64, 8 groups";
 }
 
 TEST(EquivalenceSweep, RobustAndFastPathsAgreeOnPerfectFabric) {
@@ -107,7 +127,8 @@ TEST(EquivalenceSweep, RobustAndFastPathsAgreeOnPerfectFabric) {
   const double q = 0.5;
   for (int m : {2, 5}) {
     const std::size_t n = static_cast<std::size_t>(m) * 10;
-    const auto fast = run_world_epochs(deal_shards(n, m), q, seed, 2);
+    comm::World world(m);
+    const auto fast = run_world_epochs(world, deal_shards(n, m), q, seed, 2);
 
     auto shards = deal_shards(n, m);
     const std::size_t min_shard = n / static_cast<std::size_t>(m);
@@ -117,7 +138,6 @@ TEST(EquivalenceSweep, RobustAndFastPathsAgreeOnPerfectFabric) {
       stores.emplace_back(std::move(s), min_shard + quota);
     }
     ExchangeRobustness robust;
-    comm::World world(m);
     for (std::size_t epoch = 0; epoch < 2; ++epoch) {
       world.run([&](comm::Communicator& c) {
         auto& store = stores[static_cast<std::size_t>(c.rank())];

@@ -59,8 +59,6 @@ constexpr std::size_t kWarmupEpochs = 6;
 constexpr std::size_t kMeasuredEpochs = 4;
 
 TEST(ExchangeAlloc, CoalescedSteadyStateAllocatesNothing) {
-  ScopedExchangeWire wire(ExchangeWire::kCoalesced);
-
   const std::size_t quota = exchange_quota(kShard, kQ);
   ASSERT_GT(quota, 0U);
 

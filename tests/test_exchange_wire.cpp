@@ -1,15 +1,21 @@
 // Wire-format contract of the coalesced exchange frame: golden bytes
 // (little-endian layout is part of the format, not an implementation
 // detail), round-trips through FrameWriter/parse_frame including the
-// degenerate corners, rejection of truncated or inconsistent frames, and
-// the bit-identity of the two wire modes end to end.
+// degenerate corners, rejection of truncated or inconsistent frames — by
+// example and by enumerating mutations of the golden frames — and, end to
+// end, bit-identity of the exchange with the sequential driver.
 #include "shuffle/exchange_wire.hpp"
+
+#include <cstdint>
+#include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "shuffle/mpi_exchange.hpp"
 #include "shuffle/shuffler.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace dshuf::shuffle {
 namespace {
@@ -65,17 +71,15 @@ TEST(ExchangeWireFormat, GoldenFrameBytes) {
   EXPECT_TRUE(v.payload(1).empty());
 }
 
-TEST(ExchangeWireFormat, FlowIdSpacesAreDisjointAndDeterministic) {
-  // Frame ids are a pure function of (epoch, origin, dest); sample ids of
-  // (tag_base, round, origin). Both endpoints must derive the same value,
-  // and the two id spaces must never collide (bit 63 separates them).
+TEST(ExchangeWireFormat, FlowIdsAreDistinctAndDeterministic) {
+  // Frame ids are a pure function of (epoch, origin, dest): both
+  // endpoints must derive the same value, and the three fields must not
+  // alias one another.
   EXPECT_EQ(frame_flow_id(5, 3, 1), frame_flow_id(5, 3, 1));
   EXPECT_NE(frame_flow_id(5, 3, 1), frame_flow_id(5, 1, 3));
   EXPECT_NE(frame_flow_id(5, 3, 1), frame_flow_id(6, 3, 1));
-  EXPECT_EQ(sample_flow_id(100, 2, 3), sample_flow_id(100, 2, 3));
-  EXPECT_NE(sample_flow_id(100, 2, 3), sample_flow_id(100, 3, 3));
-  EXPECT_TRUE(sample_flow_id(0, 0, 0) & (1ull << 63));
-  EXPECT_FALSE(frame_flow_id(1u << 25, 8191, 8191) & (1ull << 63));
+  EXPECT_EQ(frame_flow_id(1u << 25, 8191, 8191),
+            (std::uint64_t{1} << 51) | (std::uint64_t{8191} << 13) | 8191);
 }
 
 TEST(ExchangeWireFormat, ZeroCountFrameRoundTrips) {
@@ -182,6 +186,154 @@ TEST(ExchangeWireFormat, CorruptOffsetTablesAreRejected) {
   }
 }
 
+// The frames the round-trip tests above pin: two samples with mixed
+// payloads (the golden bytes), the empty frame, all-empty payloads, and
+// variable-length payloads.
+std::vector<std::vector<std::byte>> golden_frames() {
+  std::vector<std::vector<std::byte>> frames;
+  {
+    auto& buf = frames.emplace_back();
+    FrameWriter w(buf, 5, 3, frame_flow_id(5, 3, 1), 2);
+    w.begin_sample(7);
+    buf.push_back(std::byte{0xAA});
+    buf.push_back(std::byte{0xBB});
+    w.begin_sample(0xFFFFFFFFU);
+    w.finish();
+  }
+  {
+    auto& buf = frames.emplace_back();
+    FrameWriter w(buf, 0, 0, 0, 0);
+    w.finish();
+  }
+  {
+    auto& buf = frames.emplace_back();
+    FrameWriter w(buf, 42, 2, frame_flow_id(42, 2, 0), 17);
+    for (std::uint32_t j = 0; j < 17; ++j) w.begin_sample(j * 3 + 1);
+    w.finish();
+  }
+  {
+    auto& buf = frames.emplace_back();
+    FrameWriter w(buf, 1234567, 1, frame_flow_id(1234567, 1, 2), 9);
+    for (std::uint32_t j = 0; j < 9; ++j) {
+      w.begin_sample(1000 + j);
+      for (std::uint32_t b = 0; b < j; ++b) {
+        buf.push_back(static_cast<std::byte>(j ^ b));
+      }
+    }
+    w.finish();
+  }
+  return frames;
+}
+
+// The property every byte string must satisfy: parse_frame rejects it with
+// CheckError, or every sample's id and payload it hands out lie inside the
+// buffer. The bytes are copied into an exactly-sized heap buffer, so a
+// read past the end also trips AddressSanitizer.
+void expect_rejected_or_in_bounds(std::span<const std::byte> bytes,
+                                  const std::string& what) {
+  const std::vector<std::byte> frame(bytes.begin(), bytes.end());
+  FrameView v;
+  try {
+    v = parse_frame(frame);
+  } catch (const CheckError&) {
+    return;
+  }
+  const auto lo = reinterpret_cast<std::uintptr_t>(frame.data());
+  const auto hi = lo + frame.size();
+  for (std::uint32_t j = 0; j < v.count(); ++j) {
+    const auto body = v.payload(j);
+    const auto at = reinterpret_cast<std::uintptr_t>(body.data());
+    ASSERT_GE(at, lo + sizeof(SampleId)) << what << ": sample " << j;
+    ASSERT_LE(at + body.size(), hi) << what << ": sample " << j;
+    (void)v.id(j);
+  }
+}
+
+void put_u32_at(std::vector<std::byte>& buf, std::size_t at,
+                std::uint32_t v) {
+  std::memcpy(buf.data() + at, &v, sizeof(v));
+}
+
+TEST(ExchangeWireFormat, MutatedGoldenFramesAreRejectedOrStayInBounds) {
+  const auto frames = golden_frames();
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    const auto& golden = frames[f];
+    const std::string tag = "frame " + std::to_string(f);
+    std::uint32_t count = 0;
+    std::memcpy(&count, golden.data() + kFrameCountOff, sizeof(count));
+    const std::size_t header = frame_header_bytes(count);
+    const std::size_t body = golden.size() - header;
+
+    // Every single-bit flip of the header and offset table.
+    for (std::size_t at = 0; at < header; ++at) {
+      for (int bit = 0; bit < 8; ++bit) {
+        auto buf = golden;
+        buf[at] ^= static_cast<std::byte>(1U << bit);
+        expect_rejected_or_in_bounds(buf, tag + " bit " +
+                                              std::to_string(at * 8 + bit));
+      }
+    }
+    // Every truncation length.
+    for (std::size_t len = 0; len < golden.size(); ++len) {
+      expect_rejected_or_in_bounds(
+          std::span<const std::byte>(golden.data(), len),
+          tag + " truncated to " + std::to_string(len));
+    }
+    // Overlapping and out-of-range offsets, one table entry at a time.
+    const std::uint32_t extremes[] = {
+        0U, 1U, 3U, 4U, static_cast<std::uint32_t>(body - 1),
+        static_cast<std::uint32_t>(body),
+        static_cast<std::uint32_t>(body + 1), 0x7FFFFFFFU, 0xFFFFFFFCU,
+        0xFFFFFFFFU};
+    for (std::uint32_t j = 0; j <= count; ++j) {
+      const std::size_t at = kFrameOffsetsOff + sizeof(std::uint32_t) * j;
+      std::uint32_t cur = 0;
+      std::memcpy(&cur, golden.data() + at, sizeof(cur));
+      std::vector<std::uint32_t> values(std::begin(extremes),
+                                        std::end(extremes));
+      values.push_back(cur - 1);
+      values.push_back(cur + 1);
+      if (j > 0) {
+        // Overlap the previous sample / step back before it.
+        std::uint32_t prev = 0;
+        std::memcpy(&prev, golden.data() + at - sizeof(prev), sizeof(prev));
+        values.push_back(prev);
+        values.push_back(prev + 1);
+        values.push_back(prev - 1);
+      }
+      for (std::uint32_t value : values) {
+        auto buf = golden;
+        put_u32_at(buf, at, value);
+        expect_rejected_or_in_bounds(buf, tag + " offsets[" +
+                                              std::to_string(j) + "] = " +
+                                              std::to_string(value));
+      }
+    }
+    // Counts near 2^32, and off by one either way.
+    for (std::uint32_t c : {count - 1, count + 1, 0x3FFFFFFFU, 0x40000000U,
+                            0x7FFFFFFFU, 0x80000000U, 0xFFFFFFFEU,
+                            0xFFFFFFFFU}) {
+      auto buf = golden;
+      put_u32_at(buf, kFrameCountOff, c);
+      expect_rejected_or_in_bounds(buf, tag + " count " + std::to_string(c));
+    }
+    // Seeded random damage: a few byte overwrites anywhere, sometimes
+    // followed by a truncation.
+    Rng rng = Rng(0xF4A3E).fork(f);
+    for (int trial = 0; trial < 500; ++trial) {
+      auto buf = golden;
+      const auto writes = 1 + rng.uniform_u64(4);
+      for (std::uint64_t k = 0; k < writes; ++k) {
+        buf[rng.uniform_u64(buf.size())] =
+            static_cast<std::byte>(rng.uniform_u64(256));
+      }
+      if (rng.uniform_u64(4) == 0) buf.resize(rng.uniform_u64(buf.size()));
+      expect_rejected_or_in_bounds(buf, tag + " trial " +
+                                            std::to_string(trial));
+    }
+  }
+}
+
 TEST(ExchangeWireFormat, WriterEnforcesTheDeclaredCount) {
   std::vector<std::byte> buf;
   FrameWriter w(buf, /*epoch=*/1, /*origin=*/0, /*flow_id=*/0, /*count=*/1);
@@ -195,25 +347,7 @@ TEST(ExchangeWireFormat, WriterEnforcesTheDeclaredCount) {
   EXPECT_THROW(w2.finish(), CheckError);  // one too few
 }
 
-// ----------------------------------------------------------------- switch --
-
-TEST(ExchangeWireMode, ScopedOverrideRestores) {
-  const ExchangeWire before = exchange_wire();
-  {
-    ScopedExchangeWire scoped(ExchangeWire::kPerSample);
-    EXPECT_EQ(exchange_wire(), ExchangeWire::kPerSample);
-    {
-      ScopedExchangeWire nested(ExchangeWire::kCoalesced);
-      EXPECT_EQ(exchange_wire(), ExchangeWire::kCoalesced);
-    }
-    EXPECT_EQ(exchange_wire(), ExchangeWire::kPerSample);
-  }
-  EXPECT_EQ(exchange_wire(), before);
-  EXPECT_STREQ(to_string(ExchangeWire::kPerSample), "per-sample");
-  EXPECT_STREQ(to_string(ExchangeWire::kCoalesced), "coalesced");
-}
-
-// ---------------------------------------------------- cross-mode identity --
+// ------------------------------------------------- end-to-end identity --
 
 std::vector<std::vector<SampleId>> make_shards(std::size_t n, int workers) {
   std::vector<std::vector<SampleId>> shards(
@@ -226,13 +360,11 @@ std::vector<std::vector<SampleId>> make_shards(std::size_t n, int workers) {
 }
 
 // Run `epochs` fast-path exchange epochs (with payloads and the shared
-// post-shuffle) under `wire` and return the final shards.
-std::vector<std::vector<SampleId>> run_fast_epochs(ExchangeWire wire,
-                                                   std::size_t n, int m,
+// post-shuffle) and return the final shards.
+std::vector<std::vector<SampleId>> run_fast_epochs(std::size_t n, int m,
                                                    double q,
                                                    std::uint64_t seed,
                                                    std::size_t epochs) {
-  ScopedExchangeWire mode(wire);
   auto shards = make_shards(n, m);
   std::size_t min_shard = shards[0].size();
   for (const auto& s : shards) min_shard = std::min(min_shard, s.size());
@@ -270,9 +402,9 @@ std::vector<std::vector<SampleId>> run_fast_epochs(ExchangeWire wire,
 }
 
 TEST(ExchangeWireEquivalence, FastPathsBitIdenticalAcrossSeedsAndQuotas) {
-  // The coalesced frame is a pure re-encoding: for every (seed, Q, M) the
-  // post-epoch shard SEQUENCES (not just sets) must match the per-sample
-  // wire exactly.
+  // Framing is a pure re-encoding: for every (seed, Q, M) the post-epoch
+  // shard SEQUENCES (not just sets) must match the sequential driver
+  // exactly, with variable-length payloads delivered intact.
   const struct {
     std::size_t n;
     int m;
@@ -286,12 +418,13 @@ TEST(ExchangeWireEquivalence, FastPathsBitIdenticalAcrossSeedsAndQuotas) {
       {6, 6, 1.0, 11},  // shard = 1: every sample in flight
   };
   for (const auto& c : cases) {
-    const auto a =
-        run_fast_epochs(ExchangeWire::kPerSample, c.n, c.m, c.q, c.seed, 3);
-    const auto b =
-        run_fast_epochs(ExchangeWire::kCoalesced, c.n, c.m, c.q, c.seed, 3);
-    EXPECT_EQ(a, b) << "wires diverged at n=" << c.n << " m=" << c.m
-                    << " q=" << c.q << " seed=" << c.seed;
+    PartialLocalShuffler pls(make_shards(c.n, c.m), c.q, c.seed);
+    for (std::size_t epoch = 0; epoch < 3; ++epoch) pls.begin_epoch(epoch);
+    std::vector<std::vector<SampleId>> reference;
+    for (const auto& store : pls.stores()) reference.push_back(store.ids());
+    EXPECT_EQ(run_fast_epochs(c.n, c.m, c.q, c.seed, 3), reference)
+        << "exchange diverged from the sequential driver at n=" << c.n
+        << " m=" << c.m << " q=" << c.q << " seed=" << c.seed;
   }
 }
 

@@ -214,9 +214,9 @@ TEST(LintTags, FlagsLiteralTagOnIsendAndIrecv) {
 
 TEST(LintTags, TagHelperExpressionsPass) {
   const std::string code =
-      "void f(Communicator& c, std::size_t base, std::size_t i) {\n"
-      "  c.isend(1, data_tag(base, i), payload());\n"
-      "  c.irecv(0, ack_tag(base, i));\n"
+      "void f(Communicator& c, std::size_t base, std::size_t q) {\n"
+      "  c.isend(1, frame_data_tag(base, q, 0), payload());\n"
+      "  c.irecv(0, frame_ack_tag(base, q, 1));\n"
       "  c.irecv(kAnySource, kAnyTag);\n"
       "}\n";
   const auto fs = scan_file(classify_path("src/shuffle/x.cpp"), code);

@@ -196,43 +196,39 @@ TEST(MpiExchange, StampsSendFlowPointBeforeEverySend) {
   robust.recv_deadline = std::chrono::seconds(10);
   const ExchangeRobustness* const modes[] = {nullptr, &robust};
   auto& tracer = obs::Tracer::instance();
-  for (const ExchangeWire wire :
-       {ExchangeWire::kCoalesced, ExchangeWire::kPerSample}) {
-    for (const ExchangeRobustness* rb : modes) {
-      ScopedExchangeWire scoped(wire);
-      auto shards = make_shards(n, m);
-      std::vector<ShardStore> stores;
-      for (auto& s : shards) {
-        const std::size_t cap = s.size() + exchange_quota(n / m, q);
-        stores.emplace_back(std::move(s), cap);
+  for (const ExchangeRobustness* rb : modes) {
+    auto shards = make_shards(n, m);
+    std::vector<ShardStore> stores;
+    for (auto& s : shards) {
+      const std::size_t cap = s.size() + exchange_quota(n / m, q);
+      stores.emplace_back(std::move(s), cap);
+    }
+    comm::detail::CollectiveSlots slots;
+    slots.init(m);
+    std::vector<std::size_t> sends(m);
+    std::vector<std::size_t> late(m);
+    tracer.clear();
+    tracer.set_enabled(true);
+    comm::World world(m);
+    world.run([&](comm::Communicator& c) {
+      FlowOrderProbe probe(c, slots);
+      const auto r = static_cast<std::size_t>(c.rank());
+      for (std::size_t epoch = 0; epoch < 2; ++epoch) {
+        run_pls_exchange_epoch(probe, stores[r], 41, epoch, q, n / m,
+                               nullptr, nullptr, rb);
       }
-      comm::detail::CollectiveSlots slots;
-      slots.init(m);
-      std::vector<std::size_t> sends(m);
-      std::vector<std::size_t> late(m);
-      tracer.clear();
-      tracer.set_enabled(true);
-      comm::World world(m);
-      world.run([&](comm::Communicator& c) {
-        FlowOrderProbe probe(c, slots);
-        const auto r = static_cast<std::size_t>(c.rank());
-        for (std::size_t epoch = 0; epoch < 2; ++epoch) {
-          run_pls_exchange_epoch(probe, stores[r], 41, epoch, q, n / m,
-                                 nullptr, nullptr, rb);
-        }
-        sends[r] = probe.data_sends();
-        late[r] = probe.late_stamps();
-      });
-      tracer.set_enabled(false);
-      tracer.clear();
-      const char* mode = rb == nullptr ? "fast" : "robust";
-      for (int r = 0; r < m; ++r) {
-        const auto i = static_cast<std::size_t>(r);
-        EXPECT_GT(sends[i], 0U) << mode << " rank " << r;
-        EXPECT_EQ(late[i], 0U)
-            << mode << " rank " << r << " stamped " << late[i] << " of "
-            << sends[i] << " sends after send()";
-      }
+      sends[r] = probe.data_sends();
+      late[r] = probe.late_stamps();
+    });
+    tracer.set_enabled(false);
+    tracer.clear();
+    const char* mode = rb == nullptr ? "fast" : "robust";
+    for (int r = 0; r < m; ++r) {
+      const auto i = static_cast<std::size_t>(r);
+      EXPECT_GT(sends[i], 0U) << mode << " rank " << r;
+      EXPECT_EQ(late[i], 0U)
+          << mode << " rank " << r << " stamped " << late[i] << " of "
+          << sends[i] << " sends after send()";
     }
   }
 }
@@ -354,74 +350,63 @@ TEST(MpiExchangeEdge, BytesAccountingMatchesTrafficModelAndCommCounters) {
   const std::size_t quota = exchange_quota(shard, q);
   const std::size_t epochs = 2;
 
-  for (const ExchangeWire wire :
-       {ExchangeWire::kPerSample, ExchangeWire::kCoalesced}) {
-    SCOPED_TRACE(to_string(wire));
-    ScopedExchangeWire mode(wire);
+  auto shards = make_shards(n, static_cast<std::size_t>(m));
+  std::vector<ShardStore> stores;
+  for (auto& s : shards) stores.emplace_back(std::move(s), shard + quota);
 
-    auto shards = make_shards(n, static_cast<std::size_t>(m));
-    std::vector<ShardStore> stores;
-    for (auto& s : shards) stores.emplace_back(std::move(s), shard + quota);
+  std::vector<ExchangeOutcome> outcomes(
+      static_cast<std::size_t>(m) * epochs);
+  auto& isend_counter = obs::Registry::instance().counter("comm.isend");
+  auto& bytes_counter =
+      obs::Registry::instance().counter("comm.bytes_sent");
+  const std::uint64_t isend_before = isend_counter.value();
+  const std::uint64_t bytes_before = bytes_counter.value();
 
-    std::vector<ExchangeOutcome> outcomes(
-        static_cast<std::size_t>(m) * epochs);
-    auto& isend_counter = obs::Registry::instance().counter("comm.isend");
-    auto& bytes_counter =
-        obs::Registry::instance().counter("comm.bytes_sent");
-    const std::uint64_t isend_before = isend_counter.value();
-    const std::uint64_t bytes_before = bytes_counter.value();
-
-    comm::World world(m);
-    world.run([&](comm::Communicator& c) {
-      const auto r = static_cast<std::size_t>(c.rank());
-      for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
-        outcomes[r * epochs + epoch] = run_pls_exchange_epoch(
-            c, stores[r], /*seed=*/17, epoch, q, shard,
-            [&](SampleId id, std::vector<std::byte>& out) {
-              out.insert(out.end(), kPayloadBytes,
-                         static_cast<std::byte>(id & 0xFF));
-            });
-        post_exchange_local_shuffle(17, epoch, c.rank(),
-                                    stores[r].mutable_ids());
-      }
-    });
-
-    // Fast path, no faults: no retransmits, so the outcome's bytes_sent
-    // is exactly the offered bytes, and the analytic model prices the
-    // payload portion of every rank's epoch.
-    const std::size_t model_body =
-        pls_exchange_payload_bytes(quota, kPayloadBytes);
-    TrafficParams tp;
-    tp.dataset_bytes =
-        static_cast<double>(n) * static_cast<double>(kPayloadBytes);
-    tp.workers = static_cast<std::size_t>(m);
-    tp.q = q;
-    // ceil(q * shard) == q * shard here, so the double model is exact too.
-    EXPECT_EQ(compute_traffic(tp).sent_per_worker,
-              static_cast<double>(model_body));
-
-    std::size_t sum_msgs = 0;
-    std::size_t sum_bytes_sent = 0;
-    for (const auto& o : outcomes) {
-      EXPECT_EQ(o.rounds, quota);
-      EXPECT_EQ(o.bytes_body, model_body);
-      EXPECT_EQ(o.bytes_header + o.bytes_body, o.bytes_offered);
-      EXPECT_EQ(o.bytes_sent, o.bytes_offered);
-      if (wire == ExchangeWire::kPerSample) {
-        EXPECT_EQ(o.msgs_sent, quota);
-        EXPECT_EQ(o.bytes_header, quota * sizeof(SampleId));
-      } else {
-        // One frame per distinct destination (self included — the plan
-        // may route rounds back to the sender).
-        EXPECT_LE(o.msgs_sent, static_cast<std::size_t>(m));
-        EXPECT_GE(o.msgs_sent, 1U);
-      }
-      sum_msgs += o.msgs_sent;
-      sum_bytes_sent += o.bytes_sent;
+  comm::World world(m);
+  world.run([&](comm::Communicator& c) {
+    const auto r = static_cast<std::size_t>(c.rank());
+    for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
+      outcomes[r * epochs + epoch] = run_pls_exchange_epoch(
+          c, stores[r], /*seed=*/17, epoch, q, shard,
+          [&](SampleId id, std::vector<std::byte>& out) {
+            out.insert(out.end(), kPayloadBytes,
+                       static_cast<std::byte>(id & 0xFF));
+          });
+      post_exchange_local_shuffle(17, epoch, c.rank(),
+                                  stores[r].mutable_ids());
     }
-    EXPECT_EQ(isend_counter.value() - isend_before, sum_msgs);
-    EXPECT_EQ(bytes_counter.value() - bytes_before, sum_bytes_sent);
+  });
+
+  // Fast path, no faults: no retransmits, so the outcome's bytes_sent
+  // is exactly the offered bytes, and the analytic model prices the
+  // payload portion of every rank's epoch.
+  const std::size_t model_body =
+      pls_exchange_payload_bytes(quota, kPayloadBytes);
+  TrafficParams tp;
+  tp.dataset_bytes =
+      static_cast<double>(n) * static_cast<double>(kPayloadBytes);
+  tp.workers = static_cast<std::size_t>(m);
+  tp.q = q;
+  // ceil(q * shard) == q * shard here, so the double model is exact too.
+  EXPECT_EQ(compute_traffic(tp).sent_per_worker,
+            static_cast<double>(model_body));
+
+  std::size_t sum_msgs = 0;
+  std::size_t sum_bytes_sent = 0;
+  for (const auto& o : outcomes) {
+    EXPECT_EQ(o.rounds, quota);
+    EXPECT_EQ(o.bytes_body, model_body);
+    EXPECT_EQ(o.bytes_header + o.bytes_body, o.bytes_offered);
+    EXPECT_EQ(o.bytes_sent, o.bytes_offered);
+    // One frame per distinct destination (self included — the plan
+    // may route rounds back to the sender).
+    EXPECT_LE(o.msgs_sent, static_cast<std::size_t>(m));
+    EXPECT_GE(o.msgs_sent, 1U);
+    sum_msgs += o.msgs_sent;
+    sum_bytes_sent += o.bytes_sent;
   }
+  EXPECT_EQ(isend_counter.value() - isend_before, sum_msgs);
+  EXPECT_EQ(bytes_counter.value() - bytes_before, sum_bytes_sent);
 }
 
 TEST(MpiExchangeEdge, OutcomeAccumulatesIntoStats) {

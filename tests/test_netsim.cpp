@@ -132,12 +132,13 @@ TEST(FlowSim, HierarchicalPlanRelievesTheFabric) {
   // half its rounds off the fabric.
   const LinkCaps tight = caps(1000.0, /*fabric=*/4000.0);
   const shuffle::ExchangePlan flat(7, 0, groups * gsize, quota);
-  const shuffle::HierarchicalExchangePlan hier(7, 0, groups, gsize, quota,
-                                               /*intra=*/0.5);
+  shuffle::ExchangePlan hier;
+  hier.rebuild_grouped(7, 0, groups, gsize, quota, /*intra=*/0.5);
   const auto flat_out =
       simulate_flows(flows_from_plan(flat, bytes), tight, groups * gsize);
   const auto hier_out = simulate_flows(
-      flows_from_hierarchical_plan(hier, bytes), tight, groups * gsize);
+      flows_from_hierarchical_plan(hier, gsize, bytes), tight,
+      groups * gsize);
   EXPECT_LT(hier_out.makespan_s, flat_out.makespan_s);
 }
 

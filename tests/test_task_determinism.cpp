@@ -7,16 +7,14 @@
 // path to the last bit, not to a tolerance. These tests pin that contract
 // at 1/2/4/8 workers.
 //
-// Also here: the regression tests for the thread-aware process-wide mode
-// switches (ScopedKernelBackend, ScopedExchangeWire). Both are atomics
-// with release/acquire semantics read once per call/epoch; flipping them
-// from another thread under load must never tear (TSan runs these via the
-// `concurrent` label) and every individual call must land wholly on one
-// mode.
+// Also here: the regression test for the thread-aware kernel-backend
+// switch (ScopedKernelBackend), an atomic with release/acquire semantics
+// read once per call; flipping it from another thread under load must
+// never tear (TSan runs this via the `concurrent` label) and every
+// individual call must land wholly on one backend.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -24,8 +22,6 @@
 #include "data/synthetic.hpp"
 #include "nn/builder.hpp"
 #include "nn/conv.hpp"
-#include "shuffle/exchange_wire.hpp"
-#include "sim/overlap.hpp"
 #include "sim/trainer.hpp"
 #include "task/scheduler.hpp"
 #include "util/error.hpp"
@@ -257,91 +253,6 @@ TEST(TaskDeterminism, KernelBackendFlipUnderLoadIsPerCallConsistent) {
   stop.store(true, std::memory_order_release);
   flipper.join();
   set_kernel_backend(KernelBackend::kBlocked);
-}
-
-// Same drill for the exchange wire. The mode is read once per epoch at
-// run_pls_exchange_epoch entry, so a concurrent flip must never tear the
-// value (always a valid enumerator) and exchanges driven with the flip
-// sequenced between World runs must leave identical shards under either
-// wire.
-TEST(TaskDeterminism, ExchangeWireFlipUnderLoadIsSafe) {
-  std::atomic<bool> stop{false};
-  std::thread flipper([&] {
-    bool which = false;
-    while (!stop.load(std::memory_order_acquire)) {
-      shuffle::set_exchange_wire(which ? shuffle::ExchangeWire::kPerSample
-                                       : shuffle::ExchangeWire::kCoalesced);
-      which = !which;
-    }
-  });
-
-  // Reads under concurrent flips never see a torn value.
-  for (int i = 0; i < 20'000; ++i) {
-    const auto w = shuffle::exchange_wire();
-    ASSERT_TRUE(w == shuffle::ExchangeWire::kPerSample ||
-                w == shuffle::ExchangeWire::kCoalesced)
-        << "torn exchange_wire read";
-  }
-  // Exchanges racing the flipper: the documented contract is memory
-  // safety plus per-epoch consistency — each rank reads the mode once at
-  // epoch entry, so a run either completes (and then its shards match the
-  // quiet baseline exactly) or fails CLEANLY with CheckError when ranks
-  // within one epoch disagree / the split-phase path sees kPerSample.
-  // Never a torn value, never a crash (TSan audits the never-a-tear half).
-  // The robust protocol is required for LIVENESS here: mixed wires within
-  // an epoch can leave a rank expecting a message its peer never sent,
-  // and only the recv deadline turns that into the clean CheckError.
-  sim::OverlapConfig cfg;
-  cfg.n = 96;
-  cfg.ranks = 3;
-  cfg.q = 0.3;
-  cfg.epochs = 2;
-  cfg.seed = 13;
-  cfg.compute = [](int, std::size_t) {};
-  shuffle::ExchangeRobustness robust;
-  robust.ack_timeout = std::chrono::milliseconds(40);
-  robust.max_attempts = 4;
-  robust.backoff = 2.0;
-  robust.recv_deadline = std::chrono::milliseconds(800);
-  robust.poll_interval = std::chrono::microseconds(200);
-  cfg.robust = robust;
-  sim::OverlapResult baseline;
-  {
-    // Quiet baseline first; the flipper is still running, so pause it.
-    stop.store(true, std::memory_order_release);
-    flipper.join();
-    shuffle::set_exchange_wire(shuffle::ExchangeWire::kCoalesced);
-    baseline = sim::run_overlapped_epochs(cfg);
-  }
-
-  std::atomic<bool> stop2{false};
-  std::thread flipper2([&] {
-    bool which = false;
-    while (!stop2.load(std::memory_order_acquire)) {
-      shuffle::set_exchange_wire(which ? shuffle::ExchangeWire::kPerSample
-                                       : shuffle::ExchangeWire::kCoalesced);
-      which = !which;
-      std::this_thread::yield();
-    }
-  });
-  int completed = 0;
-  for (int i = 0; i < 8; ++i) {
-    cfg.overlapped = (i % 2 == 0);
-    try {
-      const auto res = sim::run_overlapped_epochs(cfg);
-      EXPECT_EQ(baseline.shards, res.shards)
-          << "a completed run under flips must match the quiet baseline";
-      ++completed;
-    } catch (const CheckError&) {
-      // Clean rejection of a mid-epoch wire disagreement: acceptable.
-    }
-  }
-  stop2.store(true, std::memory_order_release);
-  flipper2.join();
-  shuffle::set_exchange_wire(shuffle::ExchangeWire::kCoalesced);
-  // Not a hard guarantee, but with yields in the flipper at least one run
-  // should usually get through; record it for the log either way.
-  RecordProperty("runs_completed_under_flips", completed);
 }
 
 }  // namespace

@@ -6,8 +6,8 @@
 // on, (b) route each round's inter-group traffic as whole-group blocks
 // (one destination group per source group — that's what makes a leader
 // aggregate a single trunk instead of S fan-out flows), and (c) stay
-// draw-for-draw identical to the sequential HierarchicalExchangePlan so
-// the message-passing exchange and the hierarchical driver never diverge.
+// draw-for-draw identical to the independently written
+// HierarchicalExchangePlan (hierarchical_plan_oracle.hpp).
 // The sizes here are virtual-backend sizes (M up to 4096), far past what
 // the threaded suite exercises.
 #include <set>
@@ -15,8 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include "hierarchical_plan_oracle.hpp"
 #include "shuffle/exchange_plan.hpp"
-#include "shuffle/hierarchical.hpp"
 #include "shuffle/topology.hpp"
 #include "util/error.hpp"
 
@@ -108,8 +108,8 @@ TEST(TopologyPlan, IntraFractionRoundsStayHome) {
 }
 
 TEST(TopologyPlan, MatchesHierarchicalPlanDrawForDraw) {
-  // rebuild_grouped promises bit-identity with the sequential
-  // hierarchical driver's plan — same forked RNG streams, same tables.
+  // rebuild_grouped promises bit-identity with the oracle's plan — same
+  // forked RNG streams, same tables.
   for (std::size_t epoch : {0UL, 1UL, 7UL}) {
     const int groups = 8;
     const int group_size = 16;

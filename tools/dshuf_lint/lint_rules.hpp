@@ -22,8 +22,9 @@
 //                       justification text (the contract requires one).
 //   raw-tag-literal     an isend/irecv whose tag argument does not
 //                       reference a tag helper/constant (it must mention
-//                       `tag`, e.g. data_tag(...), ack_tag(...), kAnyTag,
-//                       tag_base). Raw literals collide across epochs.
+//                       `tag`, e.g. frame_data_tag(...), frame_ack_tag(...),
+//                       kAnyTag, tag_base). Raw literals collide across
+//                       epochs.
 //                       Suppress per line with `// lint:tag-ok <why>` or
 //                       per file with `// lint:tag-ok-file: <why>` (for
 //                       transport-level tests that name their own
