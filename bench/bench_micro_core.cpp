@@ -20,7 +20,6 @@
 #include "shuffle/shard_store.hpp"
 #include "shuffle/shuffler.hpp"
 #include "sim/overlap.hpp"
-#include "task/scheduler.hpp"
 
 namespace {
 
@@ -177,34 +176,9 @@ void BM_GemmRef(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmRef)->Arg(32)->Arg(128)->Arg(256);
 
-// Blocked GEMM under the task scheduler at 1/2/4/8 workers (256^3, the
-// size tools/dshuf_bench records as multicore GF/s). Results are
-// bit-identical across worker counts — only throughput moves, and only
-// when the host actually has the cores.
-void BM_GemmMulticore(benchmark::State& state) {
-  const task::ScopedTaskWorkers scoped(
-      static_cast<std::size_t>(state.range(0)));
-  const ScopedKernelBackend backend(KernelBackend::kBlocked);
-  constexpr std::size_t n = 256;
-  Rng rng(3);
-  const Tensor a = Tensor::randn({n, n}, rng);
-  const Tensor b = Tensor::randn({n, n}, rng);
-  Tensor out({n, n});
-  for (auto _ : state) {
-    gemm(a, b, out, false);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(2 * n * n * n));
-}
-BENCHMARK(BM_GemmMulticore)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-// One overlapped exchange+compute epoch (sim/overlap.hpp) per worker
-// count: the epoch-time row of BENCH_micro.json. Spawns a 4-rank World
-// each iteration, so items = the epoch's exchanged dataset.
+// One overlapped exchange+compute epoch (sim/overlap.hpp). Spawns a
+// 4-rank World each iteration, so items = the epoch's exchanged dataset.
 void BM_TrainEpochOverlap(benchmark::State& state) {
-  const task::ScopedTaskWorkers scoped(
-      static_cast<std::size_t>(state.range(0)));
   sim::OverlapConfig cfg;
   cfg.n = 256;
   cfg.ranks = 4;
@@ -222,7 +196,7 @@ void BM_TrainEpochOverlap(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(cfg.n));
 }
-BENCHMARK(BM_TrainEpochOverlap)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_TrainEpochOverlap);
 
 void BM_GemmAtB(benchmark::State& state) {
   run_gemm(state, KernelBackend::kBlocked, gemm_at_b);

@@ -3,10 +3,9 @@
 // claim as a runnable experiment. Two arms over identical seeds/shards:
 //
 //   sequential — each epoch's exchange completes before its compute;
-//   overlapped — PlsEpochExchange::post fires (as a task-scheduler comm
-//                task when DSHUF_WORKERS > 1), compute runs, finish()
-//                collects — the exchange's in-flight window hides under
-//                compute.
+//   overlapped — PlsEpochExchange::post fires its frames as asynchronous
+//                sends, compute runs, finish() collects — the
+//                exchange's in-flight window hides under compute.
 //
 // Prints wall time per epoch for both arms plus the exchange/compute
 // overlap report (obs/overlap.hpp) for the overlapped arm, and asserts
@@ -20,7 +19,6 @@
 #include "obs/overlap.hpp"
 #include "obs/trace.hpp"
 #include "sim/overlap.hpp"
-#include "task/scheduler.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
 
@@ -42,8 +40,7 @@ int main(int argc, char** argv) {
             << "Exchange/compute overlap — split-phase vs sequential\n"
             << "==================================================\n"
             << "ranks " << cfg.ranks << ", n " << cfg.n << ", q " << cfg.q
-            << ", epochs " << cfg.epochs << ", task workers "
-            << task::global_workers() << "\n";
+            << ", epochs " << cfg.epochs << "\n";
 
   auto timed_run = [&](bool overlapped) {
     sim::OverlapConfig arm = cfg;

@@ -207,11 +207,10 @@ ArmRow run_arm(const ScaleShape& shape, PlanArm arm, std::size_t epochs) {
     opts.caps.fabric_bps = kBisectionBps;
   }
 
-  // The grouped arms install the process-wide exchange topology so
-  // run_pls_exchange_epoch swaps in rebuild_grouped; the flat arm keeps
-  // the Algorithm-1 permutations.
-  std::optional<ScopedExchangeTopology> scoped;
-  if (arm != PlanArm::kFlat) scoped.emplace(topo);
+  // The grouped arms pass the topology so run_pls_exchange_epoch swaps
+  // in rebuild_grouped; the flat arm keeps the Algorithm-1 permutations.
+  const std::optional<Topology> exchange_topo =
+      arm == PlanArm::kFlat ? std::nullopt : std::optional<Topology>(topo);
 
   std::vector<ShardStore> stores;
   stores.reserve(static_cast<std::size_t>(m));
@@ -247,7 +246,7 @@ ArmRow run_arm(const ScaleShape& shape, PlanArm arm, std::size_t epochs) {
       const auto r = static_cast<std::size_t>(c.rank());
       const ExchangeOutcome out = run_pls_exchange_epoch(
           c, stores[r], kSeed, epoch, kQ, kShard, payload, deposit,
-          /*robust=*/nullptr, &scratch[r]);
+          /*robust=*/nullptr, &scratch[r], exchange_topo);
       post_exchange_local_shuffle(kSeed, epoch, c.rank(),
                                   stores[r].mutable_ids());
       bytes_sent[r] += out.bytes_sent;

@@ -59,7 +59,7 @@ class OpenAddressingIndex final : public SlotIndex {
     } else {
       --tombstones_;
     }
-    table_[insert_at] = Entry{id, value, kUsed};
+    table_[insert_at] = Entry{.value = value, .id = id, .state = kUsed};
     ++used_;
     return true;
   }
@@ -119,11 +119,13 @@ class OpenAddressingIndex final : public SlotIndex {
   [[nodiscard]] SlotIndexStats stats() const override { return stats_; }
 
  private:
+  // Widest field first, so the entry packs into 16 bytes.
   struct Entry {
-    data::SampleId id = 0;
     std::uint64_t value = 0;
+    data::SampleId id = 0;
     std::uint8_t state = 0;
   };
+  static_assert(sizeof(Entry) == 16, "an open-addressing slot is 16 bytes");
   static constexpr std::uint8_t kEmpty = 0;
   static constexpr std::uint8_t kUsed = 1;
   static constexpr std::uint8_t kTombstone = 2;

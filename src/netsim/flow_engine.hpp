@@ -9,7 +9,8 @@
 //
 // This engine keeps the same fluid model (max-min fairness via progressive
 // filling, identical tolerances — the differential suite holds it against
-// the reference implementation) but does event-driven, SCOPED work:
+// the reference implementation in tests/flow_reference_oracle.hpp) but
+// does event-driven, SCOPED work:
 //
 //   * Arrivals and completions mark only the links they touch dirty.
 //   * A refill settles and re-fills only the CONNECTED COMPONENT of flows

@@ -61,13 +61,6 @@ struct SimOutcome {
 SimOutcome simulate_flows(const std::vector<Flow>& flows,
                           const LinkCaps& caps, int ranks);
 
-/// The original recompute-everything progressive-filling loop, O(F) work
-/// per event. Kept as the semantic oracle: the differential suite holds
-/// simulate_flows to it across random flow sets, and anyone changing the
-/// engine's tolerances must keep the two in agreement.
-SimOutcome simulate_flows_reference(const std::vector<Flow>& flows,
-                                    const LinkCaps& caps, int ranks);
-
 /// Flows for one epoch of the balanced Algorithm-1 exchange: one message
 /// per (round, rank), all injected at t = 0.
 std::vector<Flow> flows_from_plan(const shuffle::ExchangePlan& plan,

@@ -46,8 +46,7 @@ std::uint64_t intersect_us(const Interval& iv,
 }  // namespace
 
 bool is_exchange_span(std::string_view name) {
-  return name == "exchange.epoch" || name == "exchange.task" ||
-         name == "sim.epoch.shuffle";
+  return name == "exchange.epoch" || name == "sim.epoch.shuffle";
 }
 
 bool is_compute_span(std::string_view name) {

@@ -5,8 +5,8 @@
 // into that number:
 //
 //   * exchange spans — "exchange.epoch" (split-phase exchange, open from
-//     post to finish), "exchange.task" (the trainer's prefetched
-//     begin_epoch), and "sim.epoch.shuffle" (the sequential shuffle step);
+//     post to finish) and "sim.epoch.shuffle" (the sequential shuffle
+//     step);
 //   * compute spans — "sim.epoch.compute" and anything under the
 //     "compute." prefix (e.g. the overlap driver's "compute.batch").
 //

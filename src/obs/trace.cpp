@@ -130,14 +130,6 @@ void Tracer::clear() {
   state().flushed_flows.clear();
 }
 
-void Tracer::flush_thread() {
-  auto& buf = thread_buf();
-  if (!buf.events.empty()) {
-    instance().absorb(std::move(buf.events));
-    buf.events.clear();
-  }
-}
-
 void Tracer::set_thread_track(int track) { t_track = track; }
 
 void Tracer::set_thread_name(const std::string& name) {
@@ -170,11 +162,9 @@ void Tracer::record(SpanEvent ev) {
 void Tracer::record_flow(FlowEvent ev) {
   if (!enabled()) return;
   // Flows bypass the per-thread buffer: they are rare (one endpoint per
-  // peer per epoch, not per sample) and are often recorded from pool
-  // workers that outlive the export — a thread-local buffer would strand
-  // them invisibly until thread exit, breaking dshuf_trace --check's
-  // send-before-receive invariant on any trace written while the
-  // scheduler is alive.
+  // peer per epoch, not per sample), and a thread-local buffer would hide
+  // a live thread's flows from the export until the thread exits,
+  // breaking dshuf_trace --check's send-before-receive invariant.
   std::lock_guard<RankedMutex> lk(state().mu);
   state().flushed_flows.push_back(std::move(ev));
 }

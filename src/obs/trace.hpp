@@ -20,13 +20,11 @@
 //     reads) so callers can use finish() as a timer, but nothing is
 //     stored until Tracer::set_enabled(true).
 //   * Completed spans append to a per-thread buffer (no lock); buffers
-//     flush into the tracer under LockRank::kObs when they grow large,
-//     when the owning thread exits, and — for scheduler pool workers —
-//     when the worker parks with no work left (Tracer::flush_thread).
-//     snapshot() therefore sees every span of joined threads, idle
-//     workers, and the calling thread — export after World::run has
-//     joined its rank threads. Flow points skip the buffer entirely and
-//     land in the shared store as they are recorded.
+//     flush into the tracer under LockRank::kObs when they grow large
+//     and when the owning thread exits. snapshot() therefore sees every
+//     span of joined threads and of the calling thread — export after
+//     World::run has joined its rank threads. Flow points skip the
+//     buffer entirely and land in the shared store as they are recorded.
 //   * Timestamps come from obs_clock() (obs/clock.hpp): steady_clock in
 //     production, a VirtualClock in determinism tests, which together
 //     with the deterministic snapshot ordering makes trace exports
@@ -95,20 +93,15 @@ class Tracer {
   [[nodiscard]] bool enabled() const;
 
   /// Drop every recorded span and flow point (calling thread's buffers
-  /// included). Thread-name labels persist: they describe live threads,
-  /// not recorded data (scheduler workers outlive a between-arm clear).
+  /// included). Thread-name labels persist: they describe threads, not
+  /// recorded data.
   void clear();
 
   /// Label the calling thread's spans with `track` (Chrome trace tid).
-  /// Rank threads pass their rank; scheduler workers use
-  /// kWorkerTrackBase + index; unlabelled threads get stable arbitrary
-  /// ids >= 1000 in first-use order.
+  /// Rank threads pass their rank; unlabelled threads get stable
+  /// arbitrary ids >= 1000 in first-use order.
   static void set_thread_track(int track);
   [[nodiscard]] static int thread_track();
-
-  /// Chrome tid lane for scheduler worker `index` (kept clear of rank
-  /// tracks below and auto tracks at 1000+).
-  static constexpr int kWorkerTrackBase = 500;
 
   /// Name the calling thread's track; exported as a Chrome thread_name
   /// metadata event. Re-registering the same track overwrites.
@@ -122,9 +115,8 @@ class Tracer {
 
   /// Record one flow point directly into the shared store (no-op when
   /// recording is disabled). Unlike spans, flows skip the per-thread
-  /// buffer: they are rare and often emitted from pool workers that
-  /// outlive the export, where buffering would hide them from
-  /// snapshots until thread exit.
+  /// buffer: they are rare, and a snapshot taken while the recording
+  /// thread is still alive sees them.
   void record_flow(FlowEvent ev);
 
   /// Convenience: record a flow point on the calling thread's track at
@@ -151,13 +143,6 @@ class Tracer {
   /// spans carrying an "epoch" attribute, sorted by (epoch, span).
   [[nodiscard]] std::string epoch_report_csv();
   bool write_epoch_report_csv(const std::string& path);
-
-  /// Drain the calling thread's span buffer into the shared store.
-  /// Long-lived threads that record on behalf of others (scheduler
-  /// workers) call this when going idle so their spans become visible
-  /// to exports without waiting for thread exit. Cheap no-op when the
-  /// buffer is empty.
-  static void flush_thread();
 
   // Internal: move a dying thread's buffer into the flushed store.
   void absorb(std::vector<SpanEvent>&& events);

@@ -8,7 +8,6 @@
 #include "obs/trace.hpp"
 #include "shuffle/exchange_tags.hpp"
 #include "shuffle/shuffler.hpp"
-#include "shuffle/topology.hpp"
 #include "util/log.hpp"
 #include "util/noalloc.hpp"
 
@@ -17,13 +16,14 @@ namespace dshuf::shuffle {
 namespace {
 
 // Point s.plan at this epoch's plan in the process-wide cache, which
-// builds it once for all ranks. The shape comes from the process-wide
-// topology policy (see plan_spec_for).
+// builds it once for all ranks. The shape comes from the topology (see
+// plan_spec_for).
 const ExchangePlan& plan_for_epoch(std::uint64_t seed, std::size_t epoch,
                                    int m, std::size_t quota,
+                                   const std::optional<Topology>& topology,
                                    ExchangeScratch& s) {
-  acquire_exchange_plan(
-      plan_spec_for(seed, epoch, m, quota, exchange_topology()), s.plan);
+  acquire_exchange_plan(plan_spec_for(seed, epoch, m, quota, topology),
+                        s.plan);
   return *s.plan;
 }
 
@@ -133,9 +133,9 @@ std::span<const std::uint32_t> csr_slice(
 // Parse + sanity-check a received frame before anything is staged, and
 // record the receive endpoint of the frame's flow under the id the sender
 // put on the wire — this is where the propagated trace context closes the
-// cross-rank arrow.
+// cross-rank arrow. `self` is the receiving rank.
 FrameView checked_frame_view(const comm::Message& msg, std::size_t epoch,
-                             std::size_t expected_count, int peer) {
+                             std::size_t expected_count, int peer, int self) {
   FrameView view = parse_frame(msg.payload);
   DSHUF_CHECK_EQ(view.epoch(), static_cast<std::uint64_t>(epoch),
                  "frame from rank " << peer << " belongs to another epoch");
@@ -146,6 +146,8 @@ FrameView checked_frame_view(const comm::Message& msg, std::size_t epoch,
   DSHUF_CHECK_EQ(static_cast<std::size_t>(view.count()), expected_count,
                  "frame from rank " << peer
                                     << " disagrees with the exchange plan");
+  DSHUF_CHECK_EQ(view.flow_id(), frame_flow_id(epoch, peer, self),
+                 "frame from rank " << peer << " carries a foreign flow id");
   auto& tracer = obs::Tracer::instance();
   if (tracer.enabled()) {
     tracer.flow_point("exchange.frame", view.flow_id(),
@@ -215,7 +217,8 @@ PlsEpochExchange::PlsEpochExchange(comm::Communicator& comm,
                                    const PayloadFn* payload,
                                    const DepositFn* deposit,
                                    const ExchangeRobustness* robust,
-                                   ExchangeScratch* scratch)
+                                   ExchangeScratch* scratch,
+                                   const std::optional<Topology>& topology)
     : comm_(comm),
       store_(store),
       epoch_(epoch),
@@ -255,7 +258,8 @@ PlsEpochExchange::PlsEpochExchange(comm::Communicator& comm,
   // process (see plan_for_epoch). The scratch (a caller-provided one in
   // the steady state) reuses last epoch's routing tables.
   ExchangeScratch& s = *s_;
-  const ExchangePlan& plan = plan_for_epoch(seed, epoch, m_, quota_, s);
+  const ExchangePlan& plan =
+      plan_for_epoch(seed, epoch, m_, quota_, topology, s);
   pick_outgoing_into(seed, epoch, rank_, store.ids(), quota_, s.picks,
                      s.outgoing);
 
@@ -355,8 +359,8 @@ void PlsEpochExchange::finish_fast() {
   for (std::size_t k = 0; k < s.recv_peers.size(); ++k) {
     const int p = s.recv_peers[k];
     s.frames[k] = comm_.recv(p, frame_data_tag(tag_base_, quota_, p));
-    s.views[k] =
-        checked_frame_view(s.frames[k], epoch_, recv_slot_count(s, k), p);
+    s.views[k] = checked_frame_view(s.frames[k], epoch_,
+                                    recv_slot_count(s, k), p, rank_);
   }
 
   out_.recvs_committed = stage_frames_in_round_order(
@@ -407,7 +411,7 @@ void PlsEpochExchange::finish_robust() {
       if (auto msg = comm_.poll(p, frame_data_tag(tag_base_, quota_, p))) {
         s.frames[k] = std::move(*msg);
         s.views[k] = checked_frame_view(s.frames[k], epoch_,
-                                        recv_slot_count(s, k), p);
+                                        recv_slot_count(s, k), p, rank_);
         rs.done = true;
         rs.ok = true;
         frame_ok_[k] = 1;
@@ -550,17 +554,15 @@ ExchangeOutcome PlsEpochExchange::finish() {
   return out_;
 }
 
-ExchangeOutcome run_pls_exchange_epoch(comm::Communicator& comm,
-                                       ShardStore& store, std::uint64_t seed,
-                                       std::size_t epoch, double q,
-                                       std::size_t global_min_shard,
-                                       const PayloadFn& payload,
-                                       const DepositFn& deposit,
-                                       const ExchangeRobustness* robust,
-                                       ExchangeScratch* scratch) {
+ExchangeOutcome run_pls_exchange_epoch(
+    comm::Communicator& comm, ShardStore& store, std::uint64_t seed,
+    std::size_t epoch, double q, std::size_t global_min_shard,
+    const PayloadFn& payload, const DepositFn& deposit,
+    const ExchangeRobustness* robust, ExchangeScratch* scratch,
+    const std::optional<Topology>& topology) {
   // The split-phase object run back-to-back IS the monolithic epoch.
   PlsEpochExchange exchange(comm, store, seed, epoch, q, global_min_shard,
-                            &payload, &deposit, robust, scratch);
+                            &payload, &deposit, robust, scratch, topology);
   exchange.post();
   return exchange.finish();
 }

@@ -153,31 +153,34 @@ struct ExchangeScratch {
 /// a collective). After return the store holds the post-exchange shard
 /// (received samples added, committed-transmitted ones removed) but is NOT
 /// locally re-shuffled; the caller owns that step. Pass `robust` to enable
-/// the retry/timeout protocol (required when the World injects faults) and
-/// `scratch` to reuse working storage across epochs.
+/// the retry/timeout protocol (required when the World injects faults),
+/// `scratch` to reuse working storage across epochs, and a `topology` of
+/// more than one group to exchange through the grouped plan of Section V-F
+/// (plan_spec_for); every rank must pass the same one.
 ExchangeOutcome run_pls_exchange_epoch(
     comm::Communicator& comm, ShardStore& store, std::uint64_t seed,
     std::size_t epoch, double q, std::size_t global_min_shard,
     const PayloadFn& payload = nullptr, const DepositFn& deposit = nullptr,
     const ExchangeRobustness* robust = nullptr,
-    ExchangeScratch* scratch = nullptr);
+    ExchangeScratch* scratch = nullptr,
+    const std::optional<Topology>& topology = std::nullopt);
 
-/// Split-phase epoch exchange — the overlap primitive: post() fires this rank's outgoing frames, the caller runs
-/// its batch compute, and finish() collects/reconciles once the compute
-/// is done, so frame transit hides under compute instead of serialising
-/// after it (the paper's "shuffling cost judged against its overlap with
-/// training"). run_pls_exchange_epoch is exactly construct + post +
-/// finish back-to-back, and both produce bit-identical shards.
+/// Split-phase epoch exchange — the overlap primitive: post() fires this
+/// rank's outgoing frames as asynchronous sends, the caller runs its batch
+/// compute, and finish() collects/reconciles once the compute is done, so
+/// frame transit hides under compute instead of serialising after it (the
+/// paper's "shuffling cost judged against its overlap with training").
+/// run_pls_exchange_epoch is exactly construct + post + finish
+/// back-to-back, and both produce bit-identical shards.
 ///
 /// Thread contract: construct and finish() on the RANK's thread (they
 /// touch the rank's log context, trace track, and blocking receives);
-/// post() may run anywhere — typically submitted to the task scheduler as
-/// a comm task — but must have RETURNED before finish() is called (the
-/// driver waits on its task group). The payload/deposit/robust/scratch
-/// pointers are borrowed: the caller keeps them alive until finish()
-/// returns. Robust retry/deadline clocks are anchored at finish() entry,
-/// not at post(), so a long compute phase between the two never burns the
-/// retry budget or expires the receive deadline.
+/// post() may run on any thread but must have RETURNED before finish() is
+/// called. The payload/deposit/robust/scratch pointers are borrowed: the
+/// caller keeps them alive until finish() returns. Robust retry/deadline
+/// clocks are anchored at finish() entry, not at post(), so a long compute
+/// phase between the two never burns the retry budget or expires the
+/// receive deadline.
 ///
 /// The "exchange.epoch" span opens at construction and closes at
 /// finish(), so in an overlapped epoch it brackets the whole in-flight
@@ -191,7 +194,8 @@ class PlsEpochExchange {
                    const PayloadFn* payload = nullptr,
                    const DepositFn* deposit = nullptr,
                    const ExchangeRobustness* robust = nullptr,
-                   ExchangeScratch* scratch = nullptr);
+                   ExchangeScratch* scratch = nullptr,
+                   const std::optional<Topology>& topology = std::nullopt);
   PlsEpochExchange(const PlsEpochExchange&) = delete;
   PlsEpochExchange& operator=(const PlsEpochExchange&) = delete;
 

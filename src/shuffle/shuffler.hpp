@@ -112,8 +112,8 @@ class PartialLocalShuffler final : public Shuffler {
   /// `q` is the exchange fraction. With a `topology` of more than one
   /// group, every epoch exchanges through the grouped plan of Section
   /// V-F (ExchangePlan::rebuild_grouped) — the shape the message-passing
-  /// exchange uses under the same ScopedExchangeTopology; its shape is
-  /// checked against the worker count here. Without one, or with a single
+  /// exchange uses when passed the same topology; its shape is checked
+  /// against the worker count here. Without one, or with a single
   /// group, the flat Algorithm-1 plan.
   PartialLocalShuffler(std::vector<std::vector<SampleId>> shards, double q,
                        std::uint64_t seed,

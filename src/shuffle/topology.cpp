@@ -1,9 +1,6 @@
 #include "shuffle/topology.hpp"
 
-#include <mutex>
-
 #include "util/error.hpp"
-#include "util/ranked_mutex.hpp"
 
 namespace dshuf::shuffle {
 
@@ -25,26 +22,6 @@ Topology Topology::resolved_for(int workers) const {
   DSHUF_CHECK(t.intra_fraction >= 0.0 && t.intra_fraction <= 1.0,
               "intra fraction must be in [0, 1]");
   return t;
-}
-
-namespace {
-
-// Larger than an atomic, so the policy lives behind its own low-rank
-// mutex; readers copy the whole optional out under the lock (taken with
-// no other project lock held — once per epoch, at plan time).
-RankedMutex g_topology_mu{LockRank::kShufflePolicy, "shuffle.topology"};
-std::optional<Topology> g_topology;  // guarded by g_topology_mu
-
-}  // namespace
-
-std::optional<Topology> exchange_topology() {
-  std::lock_guard<RankedMutex> lk(g_topology_mu);
-  return g_topology;
-}
-
-void set_exchange_topology(const std::optional<Topology>& topo) {
-  std::lock_guard<RankedMutex> lk(g_topology_mu);
-  g_topology = topo;
 }
 
 }  // namespace dshuf::shuffle

@@ -13,19 +13,15 @@
 //     frames at a group leader before they cross (Corgi²-style staging),
 //     so the uplink sees G-1 aggregate trunks instead of S*(G-1) flows.
 //
-// For the message-passing exchange the topology is, like the kernel
-// backend, a process-wide policy with a scoped override: the exchange
-// reads it exactly ONCE per epoch, so a flip between epochs is race-free
-// and every rank runs the epoch under the same topology. The sequential
-// PartialLocalShuffler takes its Topology as a constructor argument
-// instead. Either way the plan is ExchangePlan::rebuild_grouped when there
-// is more than one group and the flat Algorithm-1 plan otherwise
-// (plan_spec_for). Ranks are grouped contiguously (group_of(r) = r /
-// group_size).
+// Both drivers take the topology as an argument: the sequential
+// PartialLocalShuffler in its constructor, the message-passing exchange
+// (run_pls_exchange_epoch / PlsEpochExchange) per epoch. Either way the
+// plan is ExchangePlan::rebuild_grouped when there is more than one group
+// and the flat Algorithm-1 plan otherwise (plan_spec_for). Ranks are
+// grouped contiguously (group_of(r) = r / group_size).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 namespace dshuf::shuffle {
 
@@ -50,28 +46,6 @@ struct Topology {
   /// Resolve group_size for `workers` ranks and check the shape divides.
   /// Returns a copy with group_size filled in.
   [[nodiscard]] Topology resolved_for(int workers) const;
-};
-
-/// Process-wide topology the exchange plans against; nullopt (the default)
-/// keeps the flat Algorithm-1 permutations. Read ONCE per epoch by
-/// run_pls_exchange_epoch / PlsEpochExchange, so flips between epochs are
-/// race-free (flip from the driving thread before World::run).
-[[nodiscard]] std::optional<Topology> exchange_topology();
-void set_exchange_topology(const std::optional<Topology>& topo);
-
-/// RAII override, restoring the previous topology on destruction.
-class ScopedExchangeTopology {
- public:
-  explicit ScopedExchangeTopology(const Topology& topo)
-      : prev_(exchange_topology()) {
-    set_exchange_topology(topo);
-  }
-  ~ScopedExchangeTopology() { set_exchange_topology(prev_); }
-  ScopedExchangeTopology(const ScopedExchangeTopology&) = delete;
-  ScopedExchangeTopology& operator=(const ScopedExchangeTopology&) = delete;
-
- private:
-  std::optional<Topology> prev_;
 };
 
 }  // namespace dshuf::shuffle

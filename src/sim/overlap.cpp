@@ -8,7 +8,6 @@
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "shuffle/shuffler.hpp"
-#include "task/scheduler.hpp"
 #include "tensor/tensor.hpp"
 #include "util/error.hpp"
 
@@ -28,8 +27,8 @@ std::vector<std::vector<shuffle::SampleId>> deal_shards(std::size_t n,
 }
 
 /// Deterministic GEMM burn standing in for a batch's forward/backward.
-/// Inputs are a fixed function of (rank, size) so the work — and, with a
-/// scheduler, the parallel_for it fans out — is reproducible.
+/// Inputs are a fixed function of (rank, size) so the work is
+/// reproducible.
 void gemm_burn(std::size_t n, std::size_t reps, int rank) {
   std::vector<float> a(n * n);
   std::vector<float> bmat(n * n);
@@ -101,20 +100,10 @@ OverlapResult run_overlapped_epochs(const OverlapConfig& cfg) {
         shuffle::PlsEpochExchange exchange(c, store, cfg.seed, epoch, cfg.q,
                                            global_min, nullptr, nullptr,
                                            robust, &scratch[r]);
-        // Post as a comm task when a scheduler is active, so frame packing
-        // itself moves off the rank's critical path; inline otherwise
-        // (the isends are asynchronous either way).
-        task::Scheduler* const sched = task::global_scheduler();
-        auto post_body = [&exchange] { exchange.post(); };
-        task::ClosureTask<decltype(post_body)> post_task(post_body);
-        task::TaskGroup group;
-        if (sched != nullptr) {
-          sched->submit(&post_task, group);
-        } else {
-          exchange.post();
-        }
+        // The isends post() fires are asynchronous: the frames are in
+        // flight while this rank computes.
+        exchange.post();
         compute();
-        if (sched != nullptr) sched->wait(group);
         per_rank[r] = exchange.finish();
       } else {
         // Sequential baseline: the whole exchange (and its span) finishes

@@ -2,10 +2,10 @@
 // paper's "judge shuffling cost by what training can hide" claim.
 //
 // Each epoch, every rank runs the split-phase exchange
-// (shuffle::PlsEpochExchange): post() fires the rank's coalesced frames —
-// submitted to the task scheduler as a comm task when one is active — the
-// rank then runs its compute phase under a "compute.batch" span, and
-// finish() collects/reconciles once compute is done. The "exchange.epoch"
+// (shuffle::PlsEpochExchange): post() fires the rank's coalesced frames as
+// asynchronous sends, the rank then runs its compute phase under a
+// "compute.batch" span, and finish() collects/reconciles once compute is
+// done. The "exchange.epoch"
 // span therefore brackets the whole in-flight window, and the dshuf_trace
 // overlap report measures how much of it hid under compute.
 //
@@ -29,8 +29,7 @@
 namespace dshuf::sim {
 
 /// Per-rank compute phase invoked between post() and finish(). Runs on the
-/// rank's thread (it may itself use the task scheduler, e.g. parallel
-/// GEMM); receives (rank, epoch).
+/// rank's thread; receives (rank, epoch).
 using ComputeFn = std::function<void(int rank, std::size_t epoch)>;
 
 struct OverlapConfig {

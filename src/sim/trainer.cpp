@@ -8,7 +8,6 @@
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
-#include "task/scheduler.hpp"
 #include "util/log.hpp"
 
 namespace dshuf::sim {
@@ -112,51 +111,6 @@ SimResult train_model(nn::Model& model, const data::InMemoryDataset& train,
   result.label = label_hint.empty() ? shuffler->label() : label_hint;
   result.workers = M;
 
-  // Exchange/compute overlap (see SimConfig::overlap_exchange). Off, the
-  // loop below runs the classic sequential schedule: begin_epoch(e), then
-  // epoch e's compute. On, epoch e+1's begin_epoch is prefetched while
-  // epoch e computes: the compute loop reads order snapshots taken before
-  // the prefetch is posted, and each epoch's exchange stats are captured
-  // right after its begin_epoch (before the next one clobbers
-  // last_stats()). The begin_epoch call sequence is identical either way,
-  // so both schedules produce bit-identical models and records.
-  task::Scheduler* const sched = task::global_scheduler();
-  const bool overlap = config.overlap_exchange && !track_losses;
-  struct ExchInfo {
-    std::size_t samples_exchanged = 0;
-    double peak_ratio = 1.0;
-    bool have_stats = false;
-  };
-  auto capture_exchange = [&]() {
-    ExchInfo info;
-    const auto* stats = shuffler->last_stats();
-    if (stats == nullptr) return info;
-    info.have_stats = true;
-    info.samples_exchanged = stats->total_sent();
-    for (std::size_t w = 0; w < stats->peak_occupancy_per_worker.size();
-         ++w) {
-      const auto shard_sz = shuffler->local_order(static_cast<int>(w)).size();
-      if (shard_sz > 0) {
-        info.peak_ratio = std::max(
-            info.peak_ratio,
-            static_cast<double>(stats->peak_occupancy_per_worker[w]) /
-                static_cast<double>(shard_sz));
-      }
-    }
-    return info;
-  };
-  std::vector<std::vector<data::SampleId>> order_snap(overlap ? M : 0);
-  auto snapshot_orders = [&] {
-    for (std::size_t w = 0; w < order_snap.size(); ++w) {
-      const auto& order = shuffler->local_order(static_cast<int>(w));
-      order_snap[w].assign(order.begin(), order.end());
-    }
-  };
-  auto order_of = [&](std::size_t w) -> const std::vector<data::SampleId>& {
-    return overlap ? order_snap[w]
-                   : shuffler->local_order(static_cast<int>(w));
-  };
-
   // Each worker's b rows form one segment of the stacked batch, so batch
   // statistics and gradient sums stay per worker (nn/layer.hpp). Sync-BN
   // (the paper's suggested BN remedy, Section IV-A-1) is the same loop
@@ -171,62 +125,30 @@ SimResult train_model(nn::Model& model, const data::InMemoryDataset& train,
   Tensor xbuf;
   std::vector<std::uint32_t> ybuf;
 
-  ExchInfo cur_info;
-  ExchInfo next_info;
-  if (overlap) {
-    // Epoch 0's exchange has no earlier compute to hide under.
-    {
-      DSHUF_SPAN("sim.epoch.shuffle", {{"epoch", "0"}});
-      shuffler->begin_epoch(0);
-    }
-    cur_info = capture_exchange();
-    snapshot_orders();
-  }
-
   for (std::size_t epoch = 0; epoch < regime.epochs; ++epoch) {
     obs::SpanGuard epoch_span("sim.epoch",
                               {{"epoch", std::to_string(epoch)}});
-    if (!overlap) {
-      if (track_losses && epoch > 0) pls->set_sample_scores(ema_loss);
-      {
-        DSHUF_SPAN("sim.epoch.shuffle", {{"epoch", std::to_string(epoch)}});
-        shuffler->begin_epoch(epoch);
-      }
-      cur_info = capture_exchange();
+    if (track_losses && epoch > 0) pls->set_sample_scores(ema_loss);
+    {
+      DSHUF_SPAN("sim.epoch.shuffle", {{"epoch", std::to_string(epoch)}});
+      shuffler->begin_epoch(epoch);
     }
     // Iterations per epoch: every worker must have a full batch each
     // iteration (drop-last semantics, as PyTorch's DistributedSampler +
     // DataLoader(drop_last=True)).
     std::size_t min_order = SIZE_MAX;
     for (std::size_t w = 0; w < M; ++w) {
-      min_order = std::min(min_order, order_of(w).size());
+      min_order = std::min(min_order,
+                           shuffler->local_order(static_cast<int>(w)).size());
     }
     const std::size_t iters = min_order / b;
     DSHUF_CHECK_GT(iters, 0U,
                    "shards too small for the batch size (shard "
-                       << order_of(0).size() << ", batch " << b << ")");
-
-    // Prefetch epoch e+1's exchange. With a scheduler it is posted right
-    // after the compute span opens and waited right after it closes, so
-    // the trace records the true in-flight window; without one it runs
-    // inline BEFORE the compute span — same results, honestly zero
-    // overlap in the trace.
-    const bool prefetch = overlap && epoch + 1 < regime.epochs;
-    auto prefetch_body = [&, next_epoch = epoch + 1] {
-      obs::SpanGuard span("exchange.task",
-                          {{"epoch", std::to_string(next_epoch)}});
-      shuffler->begin_epoch(next_epoch);
-      next_info = capture_exchange();
-    };
-    task::ClosureTask<decltype(prefetch_body)> prefetch_task(prefetch_body);
-    task::TaskGroup prefetch_group;
-    if (prefetch && sched == nullptr) prefetch_body();
+                       << shuffler->local_order(0).size() << ", batch " << b
+                       << ")");
 
     obs::SpanGuard compute_span("sim.epoch.compute",
                                 {{"epoch", std::to_string(epoch)}});
-    if (prefetch && sched != nullptr) {
-      sched->submit(&prefetch_task, prefetch_group);
-    }
     double loss_sum = 0;
     std::size_t loss_count = 0;
     for (std::size_t it = 0; it < iters; ++it) {
@@ -238,8 +160,9 @@ SimResult train_model(nn::Model& model, const data::InMemoryDataset& train,
       // All M workers' minibatches as one stack, in worker order.
       ids.clear();
       for (std::size_t w = 0; w < M; ++w) {
-        const auto first = order_of(w).begin() +
-                           static_cast<std::ptrdiff_t>(it * b);
+        const auto& order = shuffler->local_order(static_cast<int>(w));
+        const auto first =
+            order.begin() + static_cast<std::ptrdiff_t>(it * b);
         ids.insert(ids.end(), first, first + static_cast<std::ptrdiff_t>(b));
       }
       train.gather_into(ids, xbuf);
@@ -256,7 +179,6 @@ SimResult train_model(nn::Model& model, const data::InMemoryDataset& train,
       opt.step();
     }
     compute_span.finish();
-    if (prefetch && sched != nullptr) sched->wait(prefetch_group);
     DSHUF_GAUGE("nn.workspace.bytes")
         .set(static_cast<std::int64_t>(model.workspace().bytes_reserved()));
 
@@ -265,11 +187,19 @@ SimResult train_model(nn::Model& model, const data::InMemoryDataset& train,
     rec.train_loss = loss_sum / static_cast<double>(std::max<std::size_t>(
                                     1, loss_count));
     rec.lr = opt.lr();
-    if (cur_info.have_stats) {
-      rec.samples_exchanged = cur_info.samples_exchanged;
+    if (const auto* stats = shuffler->last_stats()) {
+      rec.samples_exchanged = stats->total_sent();
       DSHUF_COUNTER("sim.samples_exchanged").add(rec.samples_exchanged);
-      result.peak_storage_ratio =
-          std::max(result.peak_storage_ratio, cur_info.peak_ratio);
+      for (std::size_t w = 0; w < stats->peak_occupancy_per_worker.size();
+           ++w) {
+        const auto shard = shuffler->local_order(static_cast<int>(w)).size();
+        if (shard > 0) {
+          result.peak_storage_ratio = std::max(
+              result.peak_storage_ratio,
+              static_cast<double>(stats->peak_occupancy_per_worker[w]) /
+                  static_cast<double>(shard));
+        }
+      }
     }
     const bool eval_now = (epoch % std::max<std::size_t>(1, config.eval_every)
                            == 0) ||
@@ -286,10 +216,6 @@ SimResult train_model(nn::Model& model, const data::InMemoryDataset& train,
     obs::tick_timeseries_epoch(epoch);
     LOG_DEBUG << result.label << " epoch " << epoch << " loss "
               << rec.train_loss << " top1 " << rec.val_top1;
-    if (prefetch) {
-      cur_info = next_info;
-      snapshot_orders();
-    }
   }
   return result;
 }

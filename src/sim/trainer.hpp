@@ -56,18 +56,6 @@ struct SimConfig {
   /// the whole M*b stack one segment (mathematically identical gradient;
   /// batch stats become global).
   bool sync_batchnorm = false;
-  /// Overlap each epoch's exchange with the PREVIOUS epoch's compute:
-  /// epoch e+1's begin_epoch runs as a task-scheduler comm task while
-  /// epoch e's forward/backward runs on this thread (the paper's "hide
-  /// shuffling behind training" claim, measured by the dshuf_trace
-  /// overlap report). Results are bit-identical to the sequential
-  /// schedule: the exchange sequence is unchanged and the compute loop
-  /// reads an order snapshot taken before the prefetch is posted. With no
-  /// global scheduler (DSHUF_WORKERS=1) the prefetch runs inline before
-  /// the compute span — same results, honestly ~0 overlap in the trace.
-  /// Ignored (forced off) for importance pick policies, which need epoch
-  /// e's losses before epoch e+1's exchange may start.
-  bool overlap_exchange = false;
   /// Evaluate every k epochs (always evaluates the last epoch).
   std::size_t eval_every = 1;
   /// Cap on validation samples per evaluation (0 = all). Subsampling uses

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <vector>
 
-#include "task/scheduler.hpp"
 #include "util/error.hpp"
 
 namespace dshuf::kernel {
@@ -99,12 +98,10 @@ void pack_b(const float* b, std::size_t n, std::size_t k_dim, std::size_t jc,
   }
 }
 
-/// Work M blocks [blk_begin, blk_end) of the N block [jc, jc + nb). Chunks
-/// own disjoint C rows, so this is the unit parallel_for fans out.
+/// Work every M block of the N block [jc, jc + nb).
 void run_m_blocks(const Operands& p, std::size_t jc, std::size_t nb,
-                  std::size_t mc, std::size_t blk_begin, std::size_t blk_end) {
-  for (std::size_t blk = blk_begin; blk < blk_end; ++blk) {
-    const std::size_t ic = blk * mc;
+                  std::size_t mc) {
+  for (std::size_t ic = 0; ic < p.m; ic += mc) {
     const std::size_t mb = std::min(mc, p.m - ic);
     for (std::size_t j0 = jc; j0 < jc + nb; j0 += kNR) {
       const std::size_t jw = std::min(kNR, jc + nb - j0);
@@ -141,27 +138,9 @@ void gemm_blocked(const float* a, const float* b, float* c, std::size_t m,
     return;
   }
 
-  // Packed B panels persist across calls (allocation-free steady state);
-  // they belong to the calling thread and are shared read-only with chunks.
+  // Packed B panels persist across calls (allocation-free steady state).
+  // They belong to the calling thread: rank threads call GEMM concurrently.
   static thread_local std::vector<float> b_pack;
-
-  // Fan out only when the scheduler exists and the problem amortises the
-  // submit/steal overhead (the threshold is shape-only so the decision —
-  // though not the result, which is schedule-independent — is
-  // deterministic). ~2 MFLOP ≈ a 100x100x100 GEMM.
-  task::Scheduler* const sched = task::global_scheduler();
-  const bool parallel = sched != nullptr && m > kMR && m * n * k >= (1U << 20);
-
-  // Smaller M blocks for the parallel path so there are ~2 chunks per
-  // worker to steal. Any mc gives bit-identical results (header
-  // contract), so this only changes the work granularity.
-  std::size_t mc = cfg.mc;
-  if (parallel) {
-    const std::size_t workers = sched->workers();
-    const std::size_t target = (m + 2 * workers - 1) / (2 * workers);
-    mc = std::clamp(round_up(target, kMR), kMR, cfg.mc);
-  }
-  const std::size_t m_blocks = (m + mc - 1) / mc;
 
   Operands p{.a = a, .a_row = a_transposed ? 1 : k,
              .a_step = a_transposed ? m : 1, .b = b, .bp = nullptr,
@@ -177,15 +156,7 @@ void gemm_blocked(const float* a, const float* b, float* c, std::size_t m,
     b_pack.resize(k * round_up(packed, kNR));
     pack_b(b, n, k, p.bp_from, packed, b_transposed, b_pack.data());
     p.bp = b_pack.data();
-
-    const auto body = [&](std::size_t blk_begin, std::size_t blk_end) {
-      run_m_blocks(p, jc, nb, mc, blk_begin, blk_end);
-    };
-    if (parallel && m_blocks > 1) {
-      sched->parallel_for(0, m_blocks, 1, body);
-    } else {
-      body(0, m_blocks);
-    }
+    run_m_blocks(p, jc, nb, cfg.mc);
   }
 }
 

@@ -24,19 +24,8 @@
 // asserts both properties; tests/test_gemm_oracle.cpp holds the kernel
 // bit for bit to the packed kernel it replaced.
 //
-// Multicore: when the global task scheduler is active and the problem is
-// large enough, the M-block loop inside each N block fans out as
-// parallel_for chunks. Each chunk owns disjoint C rows; A, B and any
-// packed B panel (packed once by the caller) are shared read-only.
-// Because the per-element accumulator chain is untouched (only WHICH
-// thread runs a given M block changes, never the arithmetic within it),
-// multicore results are bit-identical to the single-core ones for any
-// worker count — tests/test_task_determinism.cpp asserts this. Task
-// bodies submitted to the scheduler must not themselves call
-// gemm_blocked: the packed-B buffer is thread_local to the caller, and a
-// nested call from a helping thread would resize it mid-use.
-//
-// The packed-B buffer keeps its capacity, so steady-state calls are
+// The packed-B buffer is thread_local, so rank threads may call GEMM
+// concurrently, and it keeps its capacity, so steady-state calls are
 // allocation-free.
 #pragma once
 
@@ -49,8 +38,8 @@ namespace dshuf::kernel {
 inline constexpr std::size_t kMR = 8;
 inline constexpr std::size_t kNR = 32;
 
-/// Cache-block sizes: rows of C per M block (the unit the multicore path
-/// fans out) and columns of B per N block. Any positive values give
+/// Cache-block sizes: rows of C per M block and columns of B per N
+/// block. Any positive values give
 /// bit-identical results; the defaults keep an M block's rows of A plus a
 /// B panel cache-resident for the K range this workload sees.
 struct BlockConfig {

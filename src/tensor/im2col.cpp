@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "task/scheduler.hpp"
-
 namespace dshuf::kernel {
 
 namespace {
@@ -21,13 +19,6 @@ void tap_range(std::size_t length, std::size_t kernel, std::size_t k,
       std::clamp<std::ptrdiff_t>(len - off, 0, len));
 }
 
-/// Fan out only when a scheduler is running and the copy volume amortises
-/// the submit overhead. Shape-only, so the decision is deterministic.
-bool parallel_worthwhile(std::size_t rows, std::size_t nl) {
-  return task::global_scheduler() != nullptr && rows > 1 &&
-         rows * nl >= (1U << 16);
-}
-
 }  // namespace
 
 void im2col_1d(const float* x, std::size_t n_batch, std::size_t in_c,
@@ -36,35 +27,25 @@ void im2col_1d(const float* x, std::size_t n_batch, std::size_t in_c,
   const std::size_t nl = n_batch * length;
   cols.resize2(in_c * kernel, nl);
   float* pc = cols.data();
-  // Each (ic, k) output row is written by exactly one chunk (disjoint
-  // writes, pure copies) — parallel output is identical to serial.
-  const std::size_t rows = in_c * kernel;
-  const auto body = [&](std::size_t row_begin, std::size_t row_end) {
-    for (std::size_t row = row_begin; row < row_end; ++row) {
-      const std::size_t ic = row / kernel;
-      const std::size_t k = row % kernel;
-      std::size_t lo = 0;
-      std::size_t hi = 0;
-      tap_range(length, kernel, k, lo, hi);
-      float* crow = pc + row * nl;
-      for (std::size_t n = 0; n < n_batch; ++n) {
-        float* dst = crow + n * length;
-        if (lo > 0) std::memset(dst, 0, lo * sizeof(float));
-        if (hi > lo) {
-          const float* src =
-              x + n * in_c * length + ic * length + (lo + k - pad);
-          std::memcpy(dst + lo, src, (hi - lo) * sizeof(float));
-        }
-        if (hi < length) {
-          std::memset(dst + hi, 0, (length - hi) * sizeof(float));
-        }
+  for (std::size_t row = 0; row < in_c * kernel; ++row) {
+    const std::size_t ic = row / kernel;
+    const std::size_t k = row % kernel;
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+    tap_range(length, kernel, k, lo, hi);
+    float* crow = pc + row * nl;
+    for (std::size_t n = 0; n < n_batch; ++n) {
+      float* dst = crow + n * length;
+      if (lo > 0) std::memset(dst, 0, lo * sizeof(float));
+      if (hi > lo) {
+        const float* src =
+            x + n * in_c * length + ic * length + (lo + k - pad);
+        std::memcpy(dst + lo, src, (hi - lo) * sizeof(float));
+      }
+      if (hi < length) {
+        std::memset(dst + hi, 0, (length - hi) * sizeof(float));
       }
     }
-  };
-  if (parallel_worthwhile(rows, nl)) {
-    task::global_scheduler()->parallel_for(0, rows, 1, body);
-  } else {
-    body(0, rows);
   }
 }
 
@@ -75,32 +56,21 @@ void col2im_1d(const Tensor& dcols, std::size_t n_batch, std::size_t in_c,
   DSHUF_CHECK_EQ(dcols.rows(), in_c * kernel, "col2im row mismatch");
   DSHUF_CHECK_EQ(dcols.cols(), nl, "col2im column mismatch");
   const float* pc = dcols.data();
-  // Scatter-add: the k taps of ONE channel overlap in grad_x, so the
-  // parallel unit is a whole channel (chunks of ic — disjoint grad_x
-  // slices) with the k loop kept serial and ascending inside. Every
-  // grad_x element therefore receives its additions in exactly the serial
-  // order — bit-identical for any worker count.
-  const auto body = [&](std::size_t ic_begin, std::size_t ic_end) {
-    for (std::size_t ic = ic_begin; ic < ic_end; ++ic) {
-      for (std::size_t k = 0; k < kernel; ++k) {
-        std::size_t lo = 0;
-        std::size_t hi = 0;
-        tap_range(length, kernel, k, lo, hi);
-        const float* crow = pc + (ic * kernel + k) * nl;
-        for (std::size_t n = 0; n < n_batch; ++n) {
-          const float* src = crow + n * length + lo;
-          float* dst =
-              grad_x + n * in_c * length + ic * length + (lo + k - pad);
-          const std::size_t run = hi - lo;
-          for (std::size_t t = 0; t < run; ++t) dst[t] += src[t];
-        }
+  // Scatter-add: the k taps of one channel overlap in grad_x, so each
+  // grad_x element receives its additions in ascending k order.
+  for (std::size_t ic = 0; ic < in_c; ++ic) {
+    for (std::size_t k = 0; k < kernel; ++k) {
+      std::size_t lo = 0;
+      std::size_t hi = 0;
+      tap_range(length, kernel, k, lo, hi);
+      const float* crow = pc + (ic * kernel + k) * nl;
+      for (std::size_t n = 0; n < n_batch; ++n) {
+        const float* src = crow + n * length + lo;
+        float* dst = grad_x + n * in_c * length + ic * length + (lo + k - pad);
+        const std::size_t run = hi - lo;
+        for (std::size_t t = 0; t < run; ++t) dst[t] += src[t];
       }
     }
-  };
-  if (parallel_worthwhile(in_c, kernel * nl)) {
-    task::global_scheduler()->parallel_for(0, in_c, 1, body);
-  } else {
-    body(0, in_c);
   }
 }
 

@@ -141,10 +141,9 @@ void copy_into(const Tensor& src, Tensor& dst);
 /// call reads the switch exactly ONCE at dispatch, so a single call never
 /// tears across a concurrent flip: it runs entirely on the backend it
 /// observed (both backends compute the same values, only the rounding
-/// schedule differs). Flipping while task-scheduler workers run compute
-/// is therefore safe; for DETERMINISTIC results flip from the thread that
-/// submits the work, before submitting (scheduler enqueue/steal ordering
-/// then guarantees every task sees the flip).
+/// schedule differs). Flipping while other threads run compute is
+/// therefore safe; for DETERMINISTIC results flip from the driving thread
+/// before starting the threads that compute.
 enum class KernelBackend { kBlocked, kReference };
 
 [[nodiscard]] KernelBackend kernel_backend();
@@ -152,7 +151,7 @@ void set_kernel_backend(KernelBackend backend);
 
 /// RAII helper: switch the backend for a scope (tests/benches). Same
 /// thread model as set_kernel_backend — construct/destroy it on the
-/// thread that submits the compute.
+/// driving thread.
 class ScopedKernelBackend {
  public:
   explicit ScopedKernelBackend(KernelBackend backend)

@@ -12,12 +12,12 @@
 //     allocate;
 //   * sites annotated `// analyze:alloc-ok <why>` — for amortised growth
 //     into capacity-retaining pooled buffers, which is how the exchange
-//     and task layers reach their allocation-free steady state
-//     (allocations happen during warm-up, capacity is reused after).
+//     reaches its allocation-free steady state (allocations happen during
+//     warm-up, capacity is reused after).
 //
 // Usage, on the definition:
 //
-//   DSHUF_NOALLOC void Scheduler::run_task(Task& t) { ... }
+//   DSHUF_NOALLOC bool find(data::SampleId id, std::uint64_t& out) const;
 #pragma once
 
 #define DSHUF_NOALLOC

@@ -13,11 +13,10 @@ namespace {
 // by construction, so the top is always the maximum held rank.
 //
 // Deliberately a POD array, NOT a std::vector: a vector's TLS destructor
-// runs at __call_tls_dtors, BEFORE static destructors — and the global
-// task scheduler's static teardown still takes ranked locks (its park
-// lock, while joining workers). A vector here is therefore a use-after-
-// free at every process exit with DSHUF_WORKERS set. POD thread_locals
-// have no destructor, so the stack stays valid for the whole teardown.
+// runs at __call_tls_dtors, BEFORE static destructors, so any static
+// destructor that takes a ranked lock would touch a freed stack. POD
+// thread_locals have no destructor, so the stack stays valid for the
+// whole teardown.
 // Depth is bounded by the rank count (strictly-ascending discipline);
 // kMaxHeld leaves headroom for a log-only violation handler that opts
 // into continuing past duplicates.

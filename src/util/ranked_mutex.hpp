@@ -6,15 +6,13 @@
 // cross-thread acquisition cycle (the deadlock precondition) impossible.
 // The project-wide order, documented in DESIGN.md §8, is
 //
-//   task.scheduler < comm.mailbox < comm.request < comm.barrier
-//       < comm.fault < data.batch_loader < io.file_store < obs.registry
-//       < util.log
+//   comm.mailbox < comm.request < comm.barrier < comm.fault
+//       < shuffle.plan_cache < data.batch_loader < io.file_store
+//       < obs.registry < util.log
 //
-// i.e. the task scheduler's park/wake lock is lowest (it is only ever
-// taken at the queue boundary with nothing else held, and is NEVER held
-// while a task body runs), the comm layer is next (its locks are the
-// innermost of the instrumented modules) and the logger is highest
-// (logging is always safe, whatever you hold).
+// i.e. the comm layer is lowest (its locks are the innermost of the
+// instrumented modules) and the logger is highest (logging is always
+// safe, whatever you hold).
 //
 // Checking is compiled in when DSHUF_LOCK_RANK_CHECKS is defined (the
 // default build does this; configure with -DDSHUF_LOCK_RANK_CHECKS=OFF to
@@ -38,18 +36,10 @@ namespace dshuf {
 /// Global acquisition order. Values are spaced so a future mutex can slot
 /// between existing ranks without renumbering.
 enum class LockRank : int {
-  kTaskScheduler = 5,  ///< task::Scheduler park/wake lock — below every
-                       ///< other rank: it is acquired with no locks held
-                       ///< (submit/park paths only) and released before
-                       ///< any task body executes, so holding ANY project
-                       ///< lock while submitting tasks is a violation the
-                       ///< checker reports
   kCommMailbox = 10,   ///< comm::detail::RankMailbox::mu
   kCommRequest = 12,   ///< comm::detail::RequestState::mu
   kCommBarrier = 14,   ///< comm::detail::WorldState barrier
   kFault = 20,         ///< comm::FaultInjector queue/stats
-  kShufflePolicy = 24, ///< shuffle::Topology process-wide policy slot —
-                       ///< read once per epoch with no other lock held
   kPlanCache = 25,     ///< shuffle plan cache (every rank of the process
                        ///< shares one plan per epoch through it)
   kBatchLoader = 30,   ///< data::BatchLoader prefetch queue

@@ -40,11 +40,12 @@ std::vector<std::vector<SampleId>> store_ids(
 
 /// Message-passing execution: one rank per shard on `world` (threaded or
 /// virtual) running the exchange plus the shared post-exchange local
-/// shuffle, for `epochs` epochs, under whatever topology is installed.
+/// shuffle, for `epochs` epochs, under `topology`.
 template <typename WorldT>
 std::vector<std::vector<SampleId>> run_world_epochs(
     WorldT& world, std::vector<std::vector<SampleId>> shards, double q,
-    std::uint64_t seed, std::size_t epochs) {
+    std::uint64_t seed, std::size_t epochs,
+    const std::optional<Topology>& topology) {
   std::size_t min_shard = shards[0].size();
   for (const auto& s : shards) min_shard = std::min(min_shard, s.size());
   const std::size_t quota = exchange_quota(min_shard, q);
@@ -57,7 +58,8 @@ std::vector<std::vector<SampleId>> run_world_epochs(
   for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
     world.run([&](comm::Communicator& c) {
       auto& store = stores[static_cast<std::size_t>(c.rank())];
-      run_pls_exchange_epoch(c, store, seed, epoch, q, min_shard);
+      run_pls_exchange_epoch(c, store, seed, epoch, q, min_shard, nullptr,
+                             nullptr, nullptr, nullptr, topology);
       post_exchange_local_shuffle(seed, epoch, c.rank(),
                                   store.mutable_ids());
     });
@@ -87,8 +89,6 @@ TEST(EquivalenceSweep, BothDriversAgreeAcrossTheGrid) {
       topologies.emplace_back(t);
     }
     for (const auto& topo : topologies) {
-      std::optional<ScopedExchangeTopology> installed;
-      if (topo) installed.emplace(*topo);
       comm::World world(m);
       for (double q : {0.0, 0.1, 0.3, 1.0}) {
         for (std::uint64_t seed : {11ULL, 97ULL}) {
@@ -97,7 +97,7 @@ TEST(EquivalenceSweep, BothDriversAgreeAcrossTheGrid) {
                        << (topo ? topo->groups : 0) << " q=" << q
                        << " seed=" << seed);
           EXPECT_EQ(run_world_epochs(world, deal_shards(n, m), q, seed,
-                                     kEpochs),
+                                     kEpochs, topo),
                     run_sequential_epochs(deal_shards(n, m), q, seed,
                                           kEpochs, topo))
               << "message-passing exchange diverged from the sequential "
@@ -110,10 +110,9 @@ TEST(EquivalenceSweep, BothDriversAgreeAcrossTheGrid) {
   // One paper-shaped point on the fiber backend: 64 ranks in 8 groups.
   Topology topo;
   topo.groups = 8;
-  const ScopedExchangeTopology installed(topo);
   netsim::VirtualWorld world(64);
   EXPECT_EQ(run_world_epochs(world, deal_shards(64 * 12, 64), 0.3, 11,
-                             kEpochs),
+                             kEpochs, topo),
             run_sequential_epochs(deal_shards(64 * 12, 64), 0.3, 11, kEpochs,
                                   topo))
       << "virtual-rank exchange diverged from the sequential driver at "
@@ -128,7 +127,8 @@ TEST(EquivalenceSweep, RobustAndFastPathsAgreeOnPerfectFabric) {
   for (int m : {2, 5}) {
     const std::size_t n = static_cast<std::size_t>(m) * 10;
     comm::World world(m);
-    const auto fast = run_world_epochs(world, deal_shards(n, m), q, seed, 2);
+    const auto fast =
+        run_world_epochs(world, deal_shards(n, m), q, seed, 2, std::nullopt);
 
     auto shards = deal_shards(n, m);
     const std::size_t min_shard = n / static_cast<std::size_t>(m);

@@ -1,15 +1,19 @@
 // Differential and property tests for the incremental max-min flow
 // engine. simulate_flows now runs on FlowEngine; simulate_flows_reference
-// is the original recompute-everything loop, kept as the semantic oracle.
+// (flow_reference_oracle.hpp) is the original recompute-everything loop,
+// kept as the semantic oracle.
 // Anyone touching the engine's tolerances must keep the two in agreement
 // here before trusting any BENCH_scale number.
 #include "netsim/flow_engine.hpp"
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "flow_reference_oracle.hpp"
 #include "netsim/flowsim.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -125,6 +129,85 @@ TEST(FlowEngineCaps, SelfFlowsAreLatencyOnly) {
   EXPECT_DOUBLE_EQ(out.flow_finish_s[1], 0.25 + 2e-3);
   const auto ref = simulate_flows_reference(flows, caps, 2);
   expect_same_outcome(out, ref);
+}
+
+// --- closed forms ----------------------------------------------------
+// Flow sets small enough to solve by hand, held against both
+// simulate_flows and the reference oracle: the oracle the differential
+// tests trust is itself pinned to numbers that do not come from the
+// engine.
+
+void expect_finishes(const std::vector<Flow>& flows, const LinkCaps& caps,
+                     int ranks, const std::vector<double>& want) {
+  const std::pair<const char*, SimOutcome> runs[] = {
+      {"simulate_flows", simulate_flows(flows, caps, ranks)},
+      {"reference", simulate_flows_reference(flows, caps, ranks)},
+  };
+  const double makespan = *std::max_element(want.begin(), want.end());
+  for (const auto& [who, out] : runs) {
+    ASSERT_EQ(out.flow_finish_s.size(), want.size()) << who;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_NEAR(out.flow_finish_s[i], want[i], 1e-9)
+          << who << ", flow " << i;
+    }
+    EXPECT_NEAR(out.makespan_s, makespan, 1e-9) << who;
+  }
+}
+
+// Alone on its path, a flow runs at the slower of its two NICs after the
+// per-message latency: 1.0 + 0.25 + 20 B / 40 B/s.
+TEST(FlowClosedForm, SingleFlowIsLatencyPlusBytesOverTheSlowerNic) {
+  LinkCaps caps;
+  caps.nic_out_bps = 100;
+  caps.nic_in_bps = 40;
+  caps.per_message_latency_s = 0.25;
+  expect_finishes({Flow{0, 1, 20, 1.0, true}}, caps, 2, {1.75});
+}
+
+// Three senders into one receiver split its 30 B/s ingress three ways.
+TEST(FlowClosedForm, IncastSharesTheReceiversNic) {
+  LinkCaps caps;
+  caps.nic_out_bps = 100;
+  caps.nic_in_bps = 30;
+  expect_finishes({Flow{1, 0, 30, 0, true}, Flow{2, 0, 30, 0, true},
+                   Flow{3, 0, 30, 0, true}},
+                  caps, 4, {3.0, 3.0, 3.0});
+}
+
+// Rank 0's 10 B/s egress carries one fabric-bound flow (2 B/s) and one
+// local flow. Max-min gives the local flow the 8 B/s the fabric leaves,
+// not an even 5, and all 10 once the fabric flow is done at t = 1:
+// 8 B by then, the last 10 B by t = 2.
+TEST(FlowClosedForm, MaxMinHandsLeftoverCapacityToTheUnboundFlow) {
+  LinkCaps caps;
+  caps.nic_out_bps = 10;
+  caps.nic_in_bps = 10;
+  caps.fabric_bps = 2;
+  expect_finishes({Flow{0, 1, 2, 0, true}, Flow{0, 2, 18, 0, false}}, caps,
+                  3, {1.0, 2.0});
+}
+
+// The fabric's 4 B/s is split between the two flows that cross it; the
+// flow that stays off the fabric runs at NIC speed.
+TEST(FlowClosedForm, FabricCapSplitsAmongCrossingFlowsOnly) {
+  LinkCaps caps;
+  caps.nic_out_bps = 10;
+  caps.nic_in_bps = 10;
+  caps.fabric_bps = 4;
+  expect_finishes({Flow{0, 1, 4, 0, true}, Flow{2, 3, 4, 0, true},
+                   Flow{4, 5, 10, 0, false}},
+                  caps, 6, {2.0, 2.0, 1.0});
+}
+
+// The first flow has rank 2's ingress alone for a second (10 B), shares
+// it 5/5 with a flow arriving at t = 1 until that one's 5 B are through
+// at t = 2, and moves its last 5 B at full speed by t = 2.5.
+TEST(FlowClosedForm, LateArrivalSplitsTheRemainingTransfer) {
+  LinkCaps caps;
+  caps.nic_out_bps = 100;
+  caps.nic_in_bps = 10;
+  expect_finishes({Flow{0, 2, 20, 0, true}, Flow{1, 2, 5, 1.0, true}}, caps,
+                  3, {2.5, 2.0});
 }
 
 TEST(FlowEngine, ScopedRefillsTouchOnlyTheDirtyComponent) {

@@ -3,8 +3,8 @@
 // both operands packed into k-major micro-panels, each tile copied out of
 // registers into an accumulator array and merged into C from there — as
 // an oracle, and sweeps the two against each other over shapes, transpose
-// modes, accumulate, K segments, block configurations and worker counts,
-// on inputs salted with ±0, denormals, ±inf and NaN.
+// modes, accumulate, K segments, block configurations and concurrent
+// callers, on inputs salted with ±0, denormals, ±inf and NaN.
 //
 // Every output that is not NaN must be bit-equal to the oracle's, and
 // every NaN output must be NaN in both: which of two NaN operands an FMA
@@ -22,9 +22,9 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "task/scheduler.hpp"
 #include "tensor/gemm_kernel.hpp"
 #include "util/rng.hpp"
 
@@ -297,16 +297,24 @@ INSTANTIATE_TEST_SUITE_P(TransposeModes, GemmOracleSweep,
                                   (mode.param & 2 ? "Bt" : "B");
                          });
 
-TEST(GemmOracle, BitEqualWithFourSchedulerWorkers) {
-  // Shapes from a single tile to ones past the fan-out threshold
-  // (m*n*k >= 2^20), so both the serial and the parallel M-block paths
-  // run with the global scheduler present.
-  const task::ScopedTaskWorkers workers(4);
-  ASSERT_NE(task::global_scheduler(), nullptr);
+// The packed B panels are thread_local, and data-parallel rank threads
+// call the kernel at once: four threads, one transpose mode each, sweep
+// shapes from a single tile to 128 on every side at the same time.
+TEST(GemmOracle, BitEqualFromFourConcurrentThreads) {
   const std::vector<std::size_t> sizes = {1, 8, 9, 40, 63, 64, 65, 96, 128};
-  const SweepStats st =
-      sweep(sizes, sizes, {0, 1, 2, 3}, {BlockConfig{}}, /*seed=*/0x6E12);
-  EXPECT_GT(st.nan_outputs, 0U);
+  std::vector<SweepStats> stats(4);
+  std::vector<std::thread> threads;
+  for (int mode = 0; mode < 4; ++mode) {
+    threads.emplace_back([&stats, &sizes, mode] {
+      stats[static_cast<std::size_t>(mode)] =
+          sweep(sizes, sizes, {mode}, {BlockConfig{}},
+                /*seed=*/0x6E12 + static_cast<std::uint64_t>(mode));
+    });
+  }
+  for (auto& t : threads) t.join();
+  std::size_t nan_outputs = 0;
+  for (const SweepStats& st : stats) nan_outputs += st.nan_outputs;
+  EXPECT_GT(nan_outputs, 0U);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "forwarding_communicator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "shuffle/shuffler.hpp"
@@ -123,52 +124,22 @@ TEST(MpiExchange, MovesPayloadBytes) {
 // point (kSend, or kStep for a retransmission). Stamping after send()
 // lets the receiver stamp the finish first, and a finish ahead of its
 // send is a trace `dshuf_trace --check` rejects.
-class FlowOrderProbe final : public comm::Communicator {
+class FlowOrderProbe final : public ForwardingCommunicator {
  public:
-  FlowOrderProbe(comm::Communicator& inner,
-                 comm::detail::CollectiveSlots& slots)
-      : Communicator(inner.rank()), inner_(inner), slots_(slots) {}
+  using ForwardingCommunicator::ForwardingCommunicator;
 
-  [[nodiscard]] int size() const override { return inner_.size(); }
   comm::Request isend(int dest, int tag,
                       std::vector<std::byte> payload) override {
     check(payload);
-    return inner_.isend(dest, tag, std::move(payload));
+    return ForwardingCommunicator::isend(dest, tag, std::move(payload));
   }
   void send(int dest, int tag, std::vector<std::byte> payload) override {
     check(payload);
-    inner_.send(dest, tag, std::move(payload));
+    ForwardingCommunicator::send(dest, tag, std::move(payload));
   }
-  comm::Request irecv(int source, int tag) override {
-    return inner_.irecv(source, tag);
-  }
-  comm::Message recv(int source, int tag) override {
-    return inner_.recv(source, tag);
-  }
-  std::optional<comm::Message> poll(int source, int tag) override {
-    return inner_.poll(source, tag);
-  }
-  bool cancel(comm::Request& request) override {
-    return inner_.cancel(request);
-  }
-  [[nodiscard]] bool fault_injection_enabled() const override {
-    return inner_.fault_injection_enabled();
-  }
-  void fence_faults() override { inner_.fence_faults(); }
-  void barrier() override { inner_.barrier(); }
-  [[nodiscard]] std::uint64_t now_us() override { return inner_.now_us(); }
-  void backoff(std::chrono::microseconds pause) override {
-    inner_.backoff(pause);
-  }
-  [[nodiscard]] comm::BufferPool& pool() override { return inner_.pool(); }
 
   [[nodiscard]] std::size_t data_sends() const { return data_sends_; }
   [[nodiscard]] std::size_t late_stamps() const { return late_; }
-
- protected:
-  [[nodiscard]] comm::detail::CollectiveSlots& collective_slots() override {
-    return slots_;
-  }
 
  private:
   void check(const std::vector<std::byte>& payload) {
@@ -181,8 +152,6 @@ class FlowOrderProbe final : public comm::Communicator {
     if (stamped < data_sends_) ++late_;
   }
 
-  comm::Communicator& inner_;
-  comm::detail::CollectiveSlots& slots_;
   std::size_t data_sends_ = 0;
   std::size_t late_ = 0;
 };

@@ -4,9 +4,11 @@
 // emit byte-identical trace artifacts, and the exchange/fault stats the
 // protocol reports agree exactly with what the registry counted.
 #include <cstdint>
+#include <future>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -175,6 +177,70 @@ TEST(ObsTrace, ChromeTraceJsonIsValidAndComplete) {
   // The epoch report aggregates the span that carries an epoch attribute.
   const std::string csv = tracer.epoch_report_csv();
   EXPECT_NE(csv.find("0,test.a,1,10"), std::string::npos) << csv;
+
+  tracer.set_enabled(false);
+  tracer.clear();
+  obs::set_obs_clock(nullptr);
+}
+
+// A thread's spans wait in its own buffer until it exits; once it has
+// been joined, a snapshot taken on another thread sees them under the
+// track the thread set.
+TEST(ObsTrace, SnapshotSeesSpansOfJoinedThreads) {
+  obs::VirtualClock clock(50);
+  obs::set_obs_clock(&clock);
+  auto& tracer = obs::Tracer::instance();
+  tracer.clear();
+  tracer.set_enabled(true);
+
+  std::thread worker([&clock] {
+    obs::Tracer::set_thread_track(7);
+    obs::SpanGuard span("test.worker", {{"epoch", "3"}});
+    clock.advance_us(40);
+  });
+  worker.join();
+
+  const auto events = tracer.snapshot();
+  ASSERT_EQ(events.size(), 1U);
+  EXPECT_EQ(events[0].name, "test.worker");
+  EXPECT_EQ(events[0].track, 7);
+  EXPECT_EQ(events[0].ts_us, 50U);
+  EXPECT_EQ(events[0].dur_us, 40U);
+
+  tracer.set_enabled(false);
+  tracer.clear();
+  obs::set_obs_clock(nullptr);
+}
+
+// Flow points skip the per-thread buffer: one recorded by a thread that is
+// still running is in the next flow snapshot, before the thread exits.
+TEST(ObsTrace, FlowPointsOfALiveThreadAreVisibleAtOnce) {
+  obs::VirtualClock clock(90);
+  obs::set_obs_clock(&clock);
+  auto& tracer = obs::Tracer::instance();
+  tracer.clear();
+  tracer.set_enabled(true);
+
+  std::promise<void> recorded;
+  std::promise<void> release;
+  std::thread worker([&] {
+    obs::Tracer::set_thread_track(9);
+    tracer.flow_point("test.flow", 42, obs::FlowPhase::kSend,
+                      {{"epoch", "1"}});
+    recorded.set_value();
+    release.get_future().wait();
+  });
+  recorded.get_future().wait();
+  const auto flows = tracer.flow_snapshot();
+  release.set_value();
+  worker.join();
+
+  ASSERT_EQ(flows.size(), 1U);
+  EXPECT_EQ(flows[0].name, "test.flow");
+  EXPECT_EQ(flows[0].id, 42U);
+  EXPECT_EQ(flows[0].ts_us, 90U);
+  EXPECT_EQ(flows[0].track, 9);
+  EXPECT_EQ(flows[0].phase, obs::FlowPhase::kSend);
 
   tracer.set_enabled(false);
   tracer.clear();

@@ -4,7 +4,7 @@
 //      (exact microsecond expectations, not tolerances);
 //   2. the overlapped schedule (sim/overlap.hpp) leaves shards
 //      bit-identical to the sequential schedule AND to the single-process
-//      PartialLocalShuffler reference — with and without a task scheduler;
+//      PartialLocalShuffler reference;
 //   3. chaos: overlapped epochs under drops/delays/stalls keep the
 //      conservation and balance invariants;
 //   4. a real recorded trace round-trips through the dshuf_trace library
@@ -23,7 +23,6 @@
 #include "obs/overlap.hpp"
 #include "obs/trace.hpp"
 #include "sim/overlap.hpp"
-#include "task/scheduler.hpp"
 #include "trace_analysis.hpp"
 
 namespace dshuf {
@@ -68,7 +67,7 @@ TEST(OverlapMetric, OverlappingComputeSpansCoalesceIntoAUnion) {
 TEST(OverlapMetric, ExchangeSpansSumAcrossHiddenAndExposed) {
   const auto r = report_of({
       {"sim.epoch.compute", 0, 100},
-      {"exchange.task", 0, 10},     // fully hidden
+      {"exchange.epoch", 0, 10},    // fully hidden
       {"sim.epoch.shuffle", 200, 20}, // fully exposed
   });
   EXPECT_EQ(r.exchange_spans, 2U);
@@ -120,7 +119,6 @@ TEST(OverlapMetric, UnrelatedSpansDoNotPerturbTheNumbers) {
 
 TEST(OverlapMetric, SpanTaxonomy) {
   EXPECT_TRUE(obs::is_exchange_span("exchange.epoch"));
-  EXPECT_TRUE(obs::is_exchange_span("exchange.task"));
   EXPECT_TRUE(obs::is_exchange_span("sim.epoch.shuffle"));
   EXPECT_TRUE(obs::is_compute_span("sim.epoch.compute"));
   EXPECT_TRUE(obs::is_compute_span("compute.batch"));
@@ -155,30 +153,21 @@ chaos::ChaosConfig matching_chaos_config(const sim::OverlapConfig& cfg) {
 
 TEST(OverlapSchedule, OverlappedMatchesSequentialAndReference) {
   auto cfg = tiny_overlap_config();
-  const auto reference = chaos::sequential_reference(matching_chaos_config(cfg));
-
-  cfg.overlapped = false;
-  const auto seq = sim::run_overlapped_epochs(cfg);
-  cfg.overlapped = true;
-  const auto ovl = sim::run_overlapped_epochs(cfg);
-
-  EXPECT_EQ(seq.shards, reference)
-      << "sequential arm diverged from PartialLocalShuffler";
-  EXPECT_EQ(ovl.shards, reference)
-      << "overlapped arm diverged from PartialLocalShuffler";
-  chaos::expect_conservation(ovl.shards, cfg.n);
-}
-
-TEST(OverlapSchedule, OverlappedUnderTaskSchedulerStillMatches) {
-  auto cfg = tiny_overlap_config();
-  cfg.overlapped = true;
-  const task::ScopedTaskWorkers scoped(4);
   for (const std::uint64_t seed : {5ULL, 6ULL, 7ULL}) {
     cfg.seed = seed;
+    const auto reference =
+        chaos::sequential_reference(matching_chaos_config(cfg));
+
+    cfg.overlapped = false;
+    const auto seq = sim::run_overlapped_epochs(cfg);
+    cfg.overlapped = true;
     const auto ovl = sim::run_overlapped_epochs(cfg);
-    EXPECT_EQ(ovl.shards,
-              chaos::sequential_reference(matching_chaos_config(cfg)))
-        << "seed " << seed;
+
+    EXPECT_EQ(seq.shards, reference)
+        << "sequential arm diverged from PartialLocalShuffler, seed " << seed;
+    EXPECT_EQ(ovl.shards, reference)
+        << "overlapped arm diverged from PartialLocalShuffler, seed " << seed;
+    chaos::expect_conservation(ovl.shards, cfg.n);
   }
 }
 

@@ -9,18 +9,22 @@
 
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "comm/fault.hpp"
+#include "forwarding_communicator.hpp"
 #include "netsim/virtual_comm.hpp"
 #include "obs/metrics.hpp"
 #include "shuffle/exchange_plan.hpp"
 #include "shuffle/exchange_wire.hpp"
 #include "shuffle/shuffler.hpp"
+#include "shuffle/topology.hpp"
 #include "util/error.hpp"
 
 namespace dshuf::shuffle {
@@ -96,8 +100,8 @@ TEST(PlsEpochExchange, LifecycleMatchesPaperProtocol) {
   }
 }
 
-// post() may run on any thread (the overlapped driver submits it to the
-// task scheduler); the shards must still match the sequential driver bit
+// post() may run on a thread other than the rank's (PlsEpochExchange's
+// thread contract); the shards must still match the sequential driver bit
 // for bit, epoch after epoch.
 TEST(PlsEpochExchange, ShardContentsMatchPartialLocalShuffler) {
   const std::size_t n = 96;
@@ -458,6 +462,220 @@ TEST(PlsEpochExchange, ReusedScratchMatchesFreshScratchAcrossQuotaChanges) {
   for (std::size_t e = 0; e < qs.size(); ++e) {
     EXPECT_EQ(reused.first[e], fresh.first[e]) << "epoch " << e;
     EXPECT_EQ(reused.second[e], fresh.second[e]) << "epoch " << e;
+  }
+}
+
+using EpochShards = std::vector<std::vector<std::vector<SampleId>>>;
+
+// Each rank's shard after each of `epochs` split-phase epochs on a fresh
+// World of `m` ranks, all passed `topology`, with the post-exchange local
+// shuffle applied.
+EpochShards split_phase_epochs(int m, std::size_t n, double q,
+                               std::uint64_t seed, std::size_t epochs,
+                               const std::optional<Topology>& topology) {
+  const std::size_t shard = n / static_cast<std::size_t>(m);
+  auto stores = make_stores(n, m, exchange_quota(shard, q));
+  EpochShards shards(epochs);
+  comm::World world(m);
+  for (std::size_t e = 0; e < epochs; ++e) {
+    world.run([&](comm::Communicator& c) {
+      auto& store = stores[static_cast<std::size_t>(c.rank())];
+      PlsEpochExchange exchange(c, store, seed, e, q, shard, nullptr,
+                                nullptr, nullptr, nullptr, topology);
+      exchange.post();
+      exchange.finish();
+      post_exchange_local_shuffle(seed, e, c.rank(), store.mutable_ids());
+    });
+    for (const auto& s : stores) shards[e].push_back(s.ids());
+  }
+  return shards;
+}
+
+// The same epochs on the sequential driver constructed with `topology`.
+EpochShards sequential_epochs(int m, std::size_t n, double q,
+                              std::uint64_t seed, std::size_t epochs,
+                              const std::optional<Topology>& topology) {
+  PartialLocalShuffler pls(make_shards(n, static_cast<std::size_t>(m)), q,
+                           seed, topology);
+  EpochShards shards(epochs);
+  for (std::size_t e = 0; e < epochs; ++e) {
+    pls.begin_epoch(e);
+    for (const auto& s : pls.stores()) shards[e].push_back(s.ids());
+  }
+  return shards;
+}
+
+Topology grouped(int groups) {
+  Topology t;
+  t.groups = groups;
+  return t;
+}
+
+// A topology of more than one group reaches the plan: the split-phase
+// exchange follows the sequential driver's grouped plan epoch by epoch,
+// and that plan is not the flat one, which EquivalenceSweep (each driver
+// against the other under one topology) cannot see.
+TEST(PlsEpochExchange, GroupedTopologyIsNotTheFlatPlan) {
+  const int m = 6;
+  const std::size_t n = 120;
+  const double q = 0.5;
+  const std::uint64_t seed = 23;
+  const std::size_t epochs = 3;
+  const EpochShards got =
+      split_phase_epochs(m, n, q, seed, epochs, grouped(3));
+  EXPECT_EQ(got, sequential_epochs(m, n, q, seed, epochs, grouped(3)));
+  EXPECT_NE(got, sequential_epochs(m, n, q, seed, epochs, std::nullopt))
+      << "the grouped plan moved every sample exactly as the flat one";
+}
+
+// One group spans every rank, which is the flat Algorithm-1 plan: passing
+// it changes no shard against passing no topology at all.
+TEST(PlsEpochExchange, SingleGroupTopologyIsTheFlatPlan) {
+  const int m = 5;
+  const std::size_t n = 100;
+  const double q = 0.3;
+  const std::uint64_t seed = 41;
+  const std::size_t epochs = 3;
+  const EpochShards flat =
+      split_phase_epochs(m, n, q, seed, epochs, std::nullopt);
+  EXPECT_EQ(split_phase_epochs(m, n, q, seed, epochs, grouped(1)), flat);
+  EXPECT_EQ(flat, sequential_epochs(m, n, q, seed, epochs, std::nullopt));
+}
+
+// The topology belongs to the call, not to the process: two worlds
+// exchanging at the same time, one flat and one grouped, each follow
+// their own plan.
+TEST(PlsEpochExchange, ConcurrentWorldsKeepTheirOwnTopologies) {
+  const int m = 4;
+  const std::size_t n = 96;
+  const double q = 0.5;
+  const std::uint64_t seed = 8;
+  const std::size_t epochs = 4;
+  const std::optional<Topology> topologies[2] = {std::nullopt, grouped(2)};
+  EpochShards got[2];
+  std::vector<std::thread> drivers;
+  for (std::size_t i = 0; i < 2; ++i) {
+    drivers.emplace_back([&, i] {
+      got[i] = split_phase_epochs(m, n, q, seed, epochs, topologies[i]);
+    });
+  }
+  for (auto& d : drivers) d.join();
+  EXPECT_EQ(got[0],
+            sequential_epochs(m, n, q, seed, epochs, topologies[0]));
+  EXPECT_EQ(got[1],
+            sequential_epochs(m, n, q, seed, epochs, topologies[1]));
+  EXPECT_NE(got[0], got[1]);
+}
+
+// The header words the receiver cross-checks before staging a frame.
+enum class HeaderWord { kEpoch, kOrigin, kCount, kFlowId };
+
+// Forwards to a rank's real endpoint, except that the first frame it sends
+// to another rank is re-encoded with one header word damaged. The frame
+// stays well formed, so parse_frame accepts it and only the receiver's
+// cross-checks can refuse it.
+class FrameHeaderDamager final : public ForwardingCommunicator {
+ public:
+  FrameHeaderDamager(comm::Communicator& inner,
+                     comm::detail::CollectiveSlots& slots, HeaderWord word)
+      : ForwardingCommunicator(inner, slots), word_(word) {}
+
+  comm::Request isend(int dest, int tag,
+                      std::vector<std::byte> payload) override {
+    return ForwardingCommunicator::isend(
+        dest, tag, maybe_damage(dest, std::move(payload)));
+  }
+  void send(int dest, int tag, std::vector<std::byte> payload) override {
+    ForwardingCommunicator::send(dest, tag,
+                                 maybe_damage(dest, std::move(payload)));
+  }
+
+  /// Rank the damaged frame went to, or -1 before one was sent.
+  [[nodiscard]] int victim() const { return victim_; }
+
+ private:
+  std::vector<std::byte> maybe_damage(int dest,
+                                      std::vector<std::byte> frame) {
+    if (victim_ >= 0 || dest == rank() || frame.empty()) return frame;
+    victim_ = dest;
+    const FrameView v = parse_frame(frame);
+    std::uint64_t epoch = v.epoch();
+    auto origin = static_cast<int>(v.origin());
+    std::uint64_t flow_id = v.flow_id();
+    std::uint32_t count = v.count();
+    switch (word_) {
+      case HeaderWord::kEpoch: ++epoch; break;
+      case HeaderWord::kOrigin: origin ^= 1; break;
+      case HeaderWord::kCount: --count; break;  // drops the last sample
+      case HeaderWord::kFlowId: flow_id ^= 1; break;
+    }
+    std::vector<std::byte> out;
+    FrameWriter w(out, epoch, origin, flow_id, count);
+    for (std::uint32_t j = 0; j < count; ++j) {
+      w.begin_sample(v.id(j));
+      const auto bytes = v.payload(j);
+      out.insert(out.end(), bytes.begin(), bytes.end());
+    }
+    w.finish();
+    return out;
+  }
+
+  HeaderWord word_;
+  int victim_ = -1;
+};
+
+// A frame whose epoch, origin, count or flow-id word disagrees with what
+// the receiver expects from that peer is refused in finish() with a
+// CheckError naming the check, before any of it is staged.
+TEST(PlsEpochExchange, FinishRejectsDamagedFrameHeaders) {
+  const std::size_t n = 60;
+  const int m = 3;
+  const double q = 0.5;
+  const std::size_t shard = n / m;
+  const PayloadFn payload = append_payload;
+  const std::pair<HeaderWord, const char*> cases[] = {
+      {HeaderWord::kEpoch, "belongs to another epoch"},
+      {HeaderWord::kOrigin, "names origin"},
+      {HeaderWord::kCount, "disagrees with the exchange plan"},
+      {HeaderWord::kFlowId, "carries a foreign flow id"},
+  };
+  for (const auto& [word, expected] : cases) {
+    SCOPED_TRACE(expected);
+    auto stores = make_stores(n, m, exchange_quota(shard, q));
+    comm::detail::CollectiveSlots slots;
+    slots.init(m);
+    std::vector<std::string> errors(static_cast<std::size_t>(m));
+    int victim = -1;
+    comm::World world(m);
+    world.run([&](comm::Communicator& c) {
+      const auto r = static_cast<std::size_t>(c.rank());
+      FrameHeaderDamager damager(c, slots, word);
+      comm::Communicator& link = r == 0 ? damager : c;
+      {
+        PlsEpochExchange exchange(link, stores[r], 7, 0, q, shard, &payload);
+        exchange.post();
+        try {
+          exchange.finish();
+        } catch (const CheckError& e) {
+          errors[r] = e.what();
+        }
+      }
+      if (r == 0) victim = damager.victim();
+      // A refused finish() leaves later peers' frames in the mailbox.
+      c.barrier();
+      while (c.poll(comm::kAnySource, comm::kAnyTag)) {
+      }
+    });
+    ASSERT_GT(victim, 0) << "rank 0 sent no frame to another rank";
+    for (int r = 0; r < m; ++r) {
+      const std::string& err = errors[static_cast<std::size_t>(r)];
+      if (r == victim) {
+        EXPECT_NE(err.find(expected), std::string::npos)
+            << "rank " << r << " threw: " << err;
+      } else {
+        EXPECT_TRUE(err.empty()) << "rank " << r << " threw: " << err;
+      }
+    }
   }
 }
 

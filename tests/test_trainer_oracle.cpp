@@ -5,11 +5,6 @@
 // pass — as an oracle, and requires the two to agree bit for bit on the
 // trained weights, the BatchNorm running statistics, and every epoch's
 // training loss and validation accuracy.
-//
-// The oracle runs the sequential exchange schedule only: the overlapped
-// schedule is bit-identical to it by construction (tests/test_overlap),
-// so comparing train_model under overlap_exchange against the sequential
-// oracle checks both properties at once.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -195,7 +190,8 @@ struct Case {
   double q = 0.3;
   shuffle::PickPolicy pick = shuffle::PickPolicy::kUniform;
   bool sync_bn = false;
-  bool overlap = false;
+  int groups = 0;
+  double dirichlet_alpha = 0.0;
   std::size_t epochs = 3;
 };
 
@@ -243,7 +239,8 @@ void expect_stacked_matches_oracle(const Case& c) {
   cfg.q = c.q;
   cfg.pick_policy = c.pick;
   cfg.sync_batchnorm = c.sync_bn;
-  cfg.overlap_exchange = c.overlap;
+  cfg.hierarchical_groups = c.groups;
+  cfg.dirichlet_alpha = c.dirichlet_alpha;
   cfg.max_eval_samples = 0;
   cfg.seed = 97;
 
@@ -308,8 +305,15 @@ TEST(TrainerOracle, ImportancePicks) {
   expect_stacked_matches_oracle({.pick = shuffle::PickPolicy::kLowLoss});
 }
 
-TEST(TrainerOracle, OverlappedExchange) {
-  expect_stacked_matches_oracle({.overlap = true});
+// The grouped exchange plan of Section V-F: two groups of two workers.
+TEST(TrainerOracle, GroupedTopology) {
+  expect_stacked_matches_oracle({.groups = 2});
+}
+
+// Non-IID shards of unequal sizes: the epoch runs as many iterations as
+// the smallest shard allows.
+TEST(TrainerOracle, DirichletShards) {
+  expect_stacked_matches_oracle({.dirichlet_alpha = 1.0});
 }
 
 TEST(TrainerOracle, LocalAndGlobalStrategies) {

@@ -505,12 +505,6 @@ const std::vector<std::pair<std::string, std::set<std::string>>>&
 atomics_profiles() {
   static const std::vector<std::pair<std::string, std::set<std::string>>>
       table = {
-          {"src/task/task_queue.hpp",
-           {"seq_cst", "acquire", "release", "relaxed", "acq_rel"}},
-          {"src/task/scheduler.hpp",
-           {"seq_cst", "acquire", "release", "acq_rel", "relaxed"}},
-          {"src/task/scheduler.cpp",
-           {"seq_cst", "acquire", "release", "acq_rel", "relaxed"}},
           {"src/obs/metrics.hpp", {"relaxed"}},
           {"src/obs/metrics.cpp", {"relaxed"}},
           {"src/obs/timeseries.cpp", {"acquire", "release"}},
@@ -518,7 +512,6 @@ atomics_profiles() {
           {"src/obs/trace.hpp", {"acquire", "release", "relaxed"}},
           {"src/obs/clock.hpp", {"acquire", "release", "acq_rel"}},
           {"src/obs/clock.cpp", {"acquire", "release", "acq_rel"}},
-          {"src/shuffle/exchange_wire.cpp", {"acquire", "release"}},
           // Slot-index backend switch: plain published flag.
           {"src/io/slot_index.cpp", {"acquire", "release"}},
           // Epoch pins: CAS-claimed under the store lock, released with a

@@ -45,7 +45,7 @@ std::vector<Ev> load_trace(const std::string& path);
 std::map<std::string, std::uint64_t> load_metrics(const std::string& path);
 
 /// track id -> human name, from the trace's "thread_name" metadata
-/// events ("rank 0", "task.worker.1", ...). Empty when the trace carries
+/// events ("rank 0", "rank 1", ...). Empty when the trace carries
 /// no metadata.
 std::map<std::int64_t, std::string> thread_names(
     const std::vector<Ev>& events);
@@ -61,7 +61,7 @@ struct SelfAgg {
 std::map<std::string, SelfAgg> self_time_by_name(std::vector<Ev> events);
 
 /// Per-track totals: span count and self-time summed over every span on
-/// the track (the per-worker / per-rank utilisation rows).
+/// the track (the per-rank utilisation rows).
 std::map<std::int64_t, SelfAgg> self_time_by_track(std::vector<Ev> events);
 
 /// Exchange/compute overlap over the loaded events (obs/overlap.hpp).
